@@ -347,7 +347,9 @@ func NewGraph(n int) *Graph { return graph.New(n) }
 // answers the j-th op with IsQuery() true) and the mixed window's
 // accounting. Each structure answers its own query kinds — OpConnected
 // and OpComponentOf on Connectivity/MST, OpMateOf and OpMatched on the
-// matchings — and panics on a kind it cannot answer.
+// matchings — and panics on a kind it cannot answer. The facade's
+// structures refuse an op naming a vertex outside [0, n) at the front
+// door: it never runs, and a refused query answers with Rejected set.
 type Pipeline interface {
 	Apply(ops []Op) (Results, MixedStats)
 	Cluster() *Cluster
@@ -366,16 +368,18 @@ var (
 )
 
 // pipe is the facade plumbing shared by all four structures — the one
-// copy of the Apply front door, the per-op claims oracle the Ingestor
-// admits arrivals with, and the Cluster accessor.
+// copy of the Apply front door, the vertex count the Ingestor bounds op
+// ids against, the per-op claims oracle it admits arrivals with, and the
+// Cluster accessor.
 type pipe struct {
+	n      int
 	apply  func([]graph.Op) (graph.Results, mpc.MixedStats)
 	claims func(graph.Op) sched.Item
 	cl     *mpc.Cluster
 }
 
-func newPipe(apply func([]graph.Op) (graph.Results, mpc.MixedStats), claims func(graph.Op) sched.Item, cl *mpc.Cluster) pipe {
-	return pipe{apply: apply, claims: claims, cl: cl}
+func newPipe(n int, apply func([]graph.Op) (graph.Results, mpc.MixedStats), claims func(graph.Op) sched.Item, cl *mpc.Cluster) pipe {
+	return pipe{n: n, apply: apply, claims: claims, cl: cl}
 }
 
 // Apply processes a mixed op stream through the structure's scheduled
@@ -386,7 +390,8 @@ func newPipe(apply func([]graph.Op) (graph.Results, mpc.MixedStats), claims func
 // Ingestor (no admission control, no age or size bound), whose single
 // tail flush runs the whole slice through the scheduled pipeline in one
 // window. Batch and streaming callers therefore exercise one code path
-// and cannot drift.
+// and cannot drift, front-door bounds check included. A slice refused
+// entirely runs no window and returns zero MixedStats.
 func (p pipe) Apply(ops []Op) (Results, MixedStats) {
 	if len(ops) == 0 {
 		return p.apply(ops)
@@ -396,6 +401,9 @@ func (p pipe) Apply(ops []Op) (Results, MixedStats) {
 		ing.Push(Arrival{At: 0, Op: op})
 	}
 	res, st := ing.Close()
+	if len(st.Windows) == 0 {
+		return res, MixedStats{}
+	}
 	return res, st.Windows[0]
 }
 
@@ -413,6 +421,10 @@ func (p pipe) rawApply(ops []Op) (Results, MixedStats) { return p.apply(ops) }
 // streamClaims exposes the structure's per-op claims oracle to the
 // Ingestor's admission control.
 func (p pipe) streamClaims() func(graph.Op) sched.Item { return p.claims }
+
+// vertices exposes the structure's vertex count to the Ingestor's
+// front-door bounds check.
+func (p pipe) vertices() int { return p.n }
 
 // applyBatch is the shared deprecated ApplyBatch wrapper: the write-only
 // projection of Apply.
@@ -432,7 +444,7 @@ type Connectivity struct {
 func NewConnectivity(n, expectedEdges int, opts ...Option) *Connectivity {
 	o := buildOptions(opts)
 	d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: expectedEdges, Backend: o.backend, Workers: o.workers, TenantWeights: o.tenants})
-	return &Connectivity{pipe: newPipe(d.ApplyOps, d.StreamItem, d.Cluster()), d: d}
+	return &Connectivity{pipe: newPipe(n, d.ApplyOps, d.StreamItem, d.Cluster()), d: d}
 }
 
 // Insert adds an edge, returning the update's accounting.
@@ -490,7 +502,7 @@ type MST struct {
 func NewMST(n int, eps float64, expectedEdges int, opts ...Option) *MST {
 	o := buildOptions(opts)
 	d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.MST, Eps: eps, ExpectedEdges: expectedEdges, Backend: o.backend, Workers: o.workers, TenantWeights: o.tenants})
-	return &MST{pipe: newPipe(d.ApplyOps, d.StreamItem, d.Cluster()), d: d}
+	return &MST{pipe: newPipe(n, d.ApplyOps, d.StreamItem, d.Cluster()), d: d}
 }
 
 // Insert adds a weighted edge.
@@ -587,7 +599,7 @@ type MaximalMatching struct {
 func NewMaximalMatching(n, capEdges int, opts ...Option) *MaximalMatching {
 	o := buildOptions(opts)
 	m := dmm.New(dmm.Config{N: n, CapEdges: capEdges, Backend: o.backend, Workers: o.workers, TenantWeights: o.tenants})
-	return &MaximalMatching{pipe: newPipe(m.ApplyOps, m.StreamItem, m.Cluster()), m: m}
+	return &MaximalMatching{pipe: newPipe(n, m.ApplyOps, m.StreamItem, m.Cluster()), m: m}
 }
 
 // NewThreeHalvesMatching builds the §4 structure: a 3/2-approximate
@@ -595,7 +607,7 @@ func NewMaximalMatching(n, capEdges int, opts ...Option) *MaximalMatching {
 func NewThreeHalvesMatching(n, capEdges int, opts ...Option) *MaximalMatching {
 	o := buildOptions(opts)
 	m := dmm.New(dmm.Config{N: n, CapEdges: capEdges, ThreeHalves: true, Backend: o.backend, Workers: o.workers, TenantWeights: o.tenants})
-	return &MaximalMatching{pipe: newPipe(m.ApplyOps, m.StreamItem, m.Cluster()), m: m}
+	return &MaximalMatching{pipe: newPipe(n, m.ApplyOps, m.StreamItem, m.Cluster()), m: m}
 }
 
 // Insert adds an edge.
@@ -666,7 +678,7 @@ func ammStreamItem(op graph.Op) sched.Item {
 func NewAlmostMaximalMatching(n int, eps float64, seed int64, opts ...Option) *AlmostMaximalMatching {
 	o := buildOptions(opts)
 	m := amm.New(amm.Config{N: n, Eps: eps, Seed: seed, Backend: o.backend, Workers: o.workers})
-	return &AlmostMaximalMatching{pipe: newPipe(m.ApplyOps, ammStreamItem, m.Cluster()), m: m}
+	return &AlmostMaximalMatching{pipe: newPipe(n, m.ApplyOps, ammStreamItem, m.Cluster()), m: m}
 }
 
 // Insert adds an edge.

@@ -418,3 +418,54 @@ func TestPipelineRejectsForeignKinds(t *testing.T) {
 	mm := NewMaximalMatching(8, 32)
 	wantPanic("Connected on MaximalMatching", func() { mm.Apply([]Op{OpQConnected(1, 2)}) })
 }
+
+// TestFrontDoorVertexBounds: an op naming a vertex outside [0, n) is
+// refused at the front door on every structure and both backends — a
+// typed Rejections record, a Rejected answer for a query — instead of
+// creating phantom state (Ins(0,99) then QConnected(0,99) answering
+// true) or panicking inside a shard (QConnected(-1,2)). Valid ops around
+// the refused ones are unaffected.
+func TestFrontDoorVertexBounds(t *testing.T) {
+	for _, be := range []BackendKind{BackendSim, BackendParallel} {
+		cc := NewConnectivity(8, 16, WithBackend(be))
+		res, _ := cc.Apply([]Op{Ins(0, 99), Ins(0, 7), QConnected(0, 99), QConnected(-1, 2), QConnected(0, 7), QComponentOf(8)})
+		want := []Answer{{Rejected: true}, {Rejected: true}, {Bool: true}, {Rejected: true}}
+		if len(res) != len(want) {
+			t.Fatalf("%v: %d answers, want %d", be, len(res), len(want))
+		}
+		for i := range want {
+			if res[i] != want[i] {
+				t.Fatalf("%v: answer %d = %+v, want %+v", be, i, res[i], want[i])
+			}
+		}
+		// The refused insert left no trace: 0 is linked to 7 only, and
+		// the untouched vertex 6 is still its own singleton.
+		res, st := cc.Apply([]Op{QConnected(0, 7), QComponentOf(0), QComponentOf(6)})
+		if !res[0].Bool || res[1].Int == res[2].Int || res[2].Int != 6 {
+			t.Fatalf("%v: state after refused ops: %+v", be, res)
+		}
+		if st.Ops != 3 {
+			t.Fatalf("%v: valid window ran %d ops, want 3", be, st.Ops)
+		}
+		// A slice refused entirely runs no window.
+		if res, st := cc.Apply([]Op{QConnected(-1, 2)}); len(res) != 1 || !res[0].Rejected || st.Ops != 0 {
+			t.Fatalf("%v: all-refused Apply answered %+v with %d ops", be, res, st.Ops)
+		}
+		if err := cc.d.Validate(); err != nil {
+			t.Fatalf("%v: %v", be, err)
+		}
+		cc.Close()
+
+		// Ingest surfaces the same refusals as typed records.
+		mm := NewMaximalMatching(8, 16, WithBackend(be))
+		res, sst := Ingest(mm, ArrivalsNow([]Op{Ins(1, 2), Ins(3, 8), QMateOf(1), QMateOf(-4), QMatched(1, 2)}), IngestorConfig{MaxBatch: 2})
+		if sst.Rejected != 2 || len(sst.Rejections) != 2 ||
+			sst.Rejections[0] != (Rejection{Index: 1}) || sst.Rejections[1] != (Rejection{Index: 3, Query: true}) {
+			t.Fatalf("%v: rejections %d %+v, want ops 1 and 3", be, sst.Rejected, sst.Rejections)
+		}
+		if len(res) != 3 || res[0].Int != 2 || !res[1].Rejected || !res[2].Bool {
+			t.Fatalf("%v: matching answers %+v", be, res)
+		}
+		mm.Close()
+	}
+}

@@ -67,7 +67,9 @@ type IngestorConfig struct {
 	Weights map[int]int
 	// Admission maps tenant id -> admission policy, consulted before an
 	// arrival enters the forming set. Tenants absent from the map are
-	// always admitted. A rejected op is surfaced, never silently
+	// always admitted. A rejected op — refused by its tenant's policy, or
+	// by the front-door bounds check every facade structure applies to
+	// op vertex ids — is surfaced, never silently
 	// dropped: it is recorded in StreamStats.Rejections (and the
 	// tenant's Rejected count), and a rejected query additionally gets a
 	// positional Results entry with Rejected set so result indexing
@@ -150,6 +152,7 @@ type Ingestor struct {
 	raw    func([]Op) (Results, MixedStats)
 	claims func(graph.Op) sched.Item
 	auto   *AutoBatcher
+	n      int // vertex count ops are bounded against; 0 = unchecked
 
 	maxBatch int
 	maxAge   int64
@@ -227,6 +230,9 @@ func newIngestor(p Pipeline, cfg IngestorConfig, admission bool) *Ingestor {
 	} else {
 		ing.adm = sched.NewAdmitter(budget)
 	}
+	if vp, ok := p.(interface{ vertices() int }); ok {
+		ing.n = vp.vertices()
+	}
 	if admission {
 		if cp, ok := p.(interface {
 			streamClaims() func(graph.Op) sched.Item
@@ -288,12 +294,15 @@ func (ing *Ingestor) Push(a Arrival) {
 	if len(ing.forming) > 0 && ing.maxAge > 0 && a.At >= ing.formingAt[0]+ing.maxAge {
 		ing.flushAt(ing.formingAt[0]+ing.maxAge, flushAge)
 	}
-	// Per-tenant admission: policy-rejected ops never reach the forming
-	// set, but they are surfaced — a typed Rejections record, and for
-	// queries a positional Results entry with Rejected set (the age
-	// flush above still ran: a rejected arrival is an event on the
-	// virtual clock like any other).
-	if pol := ing.admission[a.Op.Tenant]; pol != nil && !pol.Admit(a.At) {
+	// Front-door bounds and per-tenant admission: an op naming a vertex
+	// outside [0, n), or refused by its tenant's policy, never reaches
+	// the forming set (and so never a shard), but it is surfaced — a
+	// typed Rejections record, and for queries a positional Results
+	// entry with Rejected set (the age flush above still ran: a rejected
+	// arrival is an event on the virtual clock like any other). The
+	// bounds check runs first, so an invalid op spends no policy token.
+	pol := ing.admission[a.Op.Tenant]
+	if (ing.n > 0 && !a.Op.InRange(ing.n)) || (pol != nil && !pol.Admit(a.At)) {
 		ing.stats.Rejected++
 		ing.stats.Rejections = append(ing.stats.Rejections, mpc.Rejection{
 			Index: ing.pushed, Tenant: a.Op.Tenant, At: a.At, Query: a.Op.IsQuery(),

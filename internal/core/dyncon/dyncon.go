@@ -143,13 +143,8 @@ func New(cfg Config) *D {
 		d.shards[i] = newShard(i, auto.Machines, cfg)
 		d.cluster.SetMachine(i, d.shards[i])
 	}
-	// Initial singleton components: comp(v) = v, size 1, registered.
-	for v := 0; v < cfg.N; v++ {
-		sh := d.shards[d.owner(v)]
-		sh.verts[int32(v)] = int64(v)
-		sh.compVerts[int64(v)] = []int32{int32(v)}
-		d.shards[d.registry(int64(v))].sizes[int64(v)] = 1
-	}
+	// Every vertex starts as an implicit singleton (comp(v) = v, size 1):
+	// the shards' zeroed label tables already say so.
 	return d
 }
 
@@ -195,7 +190,7 @@ func (d *D) update(up graph.Update) mpc.UpdateStats {
 func (d *D) inject(up graph.Update, seq int64) {
 	d.cluster.Send(mpc.Message{
 		From: -1, To: d.owner(up.U),
-		Payload: wire{
+		Payload: &wire{
 			Kind: kUpdate, U: int32(up.U), V: int32(up.V), W: int64(d.opWeight(up.W)),
 			Seq: seq, Flag: up.Op == graph.Delete,
 		},
@@ -434,13 +429,13 @@ func (d *D) runOpWave(ops []graph.Op, ids []int64, wave []int, mt bool) {
 		case graph.OpConnected:
 			d.cluster.Send(mpc.Message{
 				From: -1, To: d.owner(op.U),
-				Payload: wire{Kind: kQuery, U: int32(op.U), V: int32(op.V), Seq: ids[i]},
+				Payload: &wire{Kind: kQuery, U: int32(op.U), V: int32(op.V), Seq: ids[i]},
 				Words:   4,
 			})
 		case graph.OpComponentOf:
 			d.cluster.Send(mpc.Message{
 				From: -1, To: d.owner(op.U),
-				Payload: wire{Kind: kCompQuery, V: int32(op.U), Seq: ids[i]},
+				Payload: &wire{Kind: kCompQuery, V: int32(op.U), Seq: ids[i]},
 				Words:   3,
 			})
 		case graph.OpSubtreeSum, graph.OpPathSum, graph.OpTreeTop:
@@ -452,11 +447,11 @@ func (d *D) runOpWave(ops []graph.Op, ids []int64, wave []int, mt bool) {
 			case graph.OpTreeTop:
 				msg.Kind, msg.V, words = kDPTop, 0, 4
 			}
-			d.cluster.Send(mpc.Message{From: -1, To: d.owner(op.U), Payload: msg, Words: words})
+			d.cluster.Send(mpc.Message{From: -1, To: d.owner(op.U), Payload: &msg, Words: words})
 		case graph.OpSetWeight:
 			d.cluster.Send(mpc.Message{
 				From: -1, To: d.owner(op.U),
-				Payload: wire{Kind: kSetWeight, U: int32(op.U), W: int64(op.W), Seq: ids[i]},
+				Payload: &wire{Kind: kSetWeight, U: int32(op.U), W: int64(op.W), Seq: ids[i]},
 				Words:   4,
 			})
 		case graph.OpMateOf, graph.OpMatched:
@@ -576,7 +571,7 @@ func (d *D) ConnectedBatch(pairs []graph.Pair) []bool {
 		qids[i] = d.queryID
 		d.cluster.Send(mpc.Message{
 			From: -1, To: d.owner(p.U),
-			Payload: wire{Kind: kQuery, U: int32(p.U), V: int32(p.V), Seq: qids[i]},
+			Payload: &wire{Kind: kQuery, U: int32(p.U), V: int32(p.V), Seq: qids[i]},
 			Words:   4,
 		})
 	}
@@ -605,7 +600,7 @@ func (d *D) ComponentOf(v int) int64 {
 	qid := d.queryID
 	d.cluster.Send(mpc.Message{
 		From: -1, To: d.owner(v),
-		Payload: wire{Kind: kCompQuery, V: int32(v), Seq: qid},
+		Payload: &wire{Kind: kCompQuery, V: int32(v), Seq: qid},
 		Words:   3,
 	})
 	rounds := d.drainQueries(1)
@@ -631,7 +626,7 @@ func (d *D) drainQueries(k int) int {
 // driver-side oracle access for validation only, not part of the protocol
 // accounting. Use ComponentOf for the protocol query.
 func (d *D) CompOf(v int) int64 {
-	return d.shards[d.owner(v)].verts[int32(v)]
+	return d.shards[d.owner(v)].label(int32(v))
 }
 
 // ForestEdges returns the maintained spanning forest (driver-side oracle
@@ -703,38 +698,74 @@ func (d *D) Validate() error {
 		}
 	}
 
-	// The compVerts inverse index must mirror verts exactly on every
-	// shard: each owned vertex listed once under its current label, no
-	// stale or duplicate entries. The broadcast relabel loops walk this
-	// index instead of scanning verts, so drift here would silently skip
-	// (or double-apply) component relabels.
+	// The compVerts inverse index must mirror the materialised labels
+	// exactly on every shard: each materialised owned vertex listed once
+	// under its current label, no stale, empty or duplicate entries. The
+	// broadcast relabel loops walk this index instead of scanning the
+	// labels, so drift here would silently skip (or double-apply)
+	// component relabels.
+	//
+	// Implicit singletons (a zero label slot) must stay implicit: no
+	// compVerts entry and no registry size under their id. The registry
+	// check below then catches any other vertex carrying their label.
+	sizes := map[int64]int{}
+	for _, sh := range d.shards {
+		for c, s := range sh.sizes {
+			if d.registry(c) != sh.id {
+				return fmt.Errorf("machine %d registers component %d, its registry is %d", sh.id, c, d.registry(c))
+			}
+			sizes[c] = s
+		}
+	}
 	for _, sh := range d.shards {
 		listed := 0
-		seen := make(map[int32]bool, len(sh.verts))
+		seen := make(map[int32]bool)
 		for comp, vs := range sh.compVerts {
+			if len(vs) == 0 {
+				return fmt.Errorf("machine %d: empty compVerts entry for component %d", sh.id, comp)
+			}
 			for _, v := range vs {
 				if seen[v] {
 					return fmt.Errorf("machine %d: vertex %d listed twice in compVerts", sh.id, v)
 				}
 				seen[v] = true
-				if got, ok := sh.verts[v]; !ok || got != comp {
-					return fmt.Errorf("machine %d: compVerts files vertex %d under %d, verts says %d", sh.id, v, comp, got)
+				if d.owner(int(v)) != sh.id {
+					return fmt.Errorf("machine %d: compVerts lists vertex %d, owner is %d", sh.id, v, d.owner(int(v)))
+				}
+				if sh.labels[int(v)/len(d.shards)] == 0 {
+					return fmt.Errorf("machine %d: implicit singleton %d listed in compVerts under %d", sh.id, v, comp)
+				}
+				if got := sh.label(v); got != comp {
+					return fmt.Errorf("machine %d: compVerts files vertex %d under %d, label says %d", sh.id, v, comp, got)
 				}
 			}
 			listed += len(vs)
 		}
-		if listed != len(sh.verts) {
-			return fmt.Errorf("machine %d: compVerts indexes %d vertices, verts holds %d", sh.id, listed, len(sh.verts))
+		implicit := 0
+		for i, slot := range sh.labels {
+			if slot != 0 {
+				continue
+			}
+			implicit++
+			v := int64(sh.id + i*len(d.shards))
+			if _, ok := sh.compVerts[v]; ok {
+				return fmt.Errorf("machine %d: implicit singleton %d has a compVerts entry", sh.id, v)
+			}
+			if _, ok := sizes[v]; ok {
+				return fmt.Errorf("implicit singleton %d has registry size %d", v, sizes[v])
+			}
+			sizes[v] = 1
+		}
+		if implicit != sh.implicit {
+			return fmt.Errorf("machine %d: %d implicit singletons, counter says %d", sh.id, implicit, sh.implicit)
+		}
+		if listed != len(sh.labels)-implicit {
+			return fmt.Errorf("machine %d: compVerts indexes %d vertices, %d are materialised", sh.id, listed, len(sh.labels)-implicit)
 		}
 	}
 
-	// Registry sizes vs vertex labels.
-	sizes := map[int64]int{}
-	for _, sh := range d.shards {
-		for c, s := range sh.sizes {
-			sizes[c] = s
-		}
-	}
+	// Registry sizes vs vertex labels: every live component registered
+	// with its exact size, and no registry entry for a dead one.
 	counts := map[int64]int{}
 	for v := 0; v < d.cfg.N; v++ {
 		counts[d.CompOf(v)]++
@@ -743,6 +774,9 @@ func (d *D) Validate() error {
 		if sizes[c] != k {
 			return fmt.Errorf("component %d: registry size %d, actual %d", c, sizes[c], k)
 		}
+	}
+	if len(sizes) != len(counts) {
+		return fmt.Errorf("registry holds %d components, %d are live", len(sizes), len(counts))
 	}
 
 	// Reassemble tours per component.
@@ -832,7 +866,7 @@ func (d *D) Validate() error {
 			}
 			c := d.CompOf(int(v))
 			if rec.Comp != c {
-				return fmt.Errorf("weight record for %d: component %d, verts says %d", v, rec.Comp, c)
+				return fmt.Errorf("weight record for %d: component %d, label says %d", v, rec.Comp, c)
 			}
 			if counts[c] == 1 {
 				if rec.Anchor != 0 {

@@ -26,8 +26,8 @@ func stateFingerprint(d *D) string {
 			lines = append(lines, fmt.Sprintf("m%d nt %d-%d a=(%d,%d) c=(%d,%d) w=%d",
 				sh.id, e.U, e.V, rec.aU, rec.aV, rec.cU, rec.cV, rec.w))
 		}
-		for v, comp := range sh.verts {
-			lines = append(lines, fmt.Sprintf("m%d vert %d comp=%d", sh.id, v, comp))
+		for i, slot := range sh.labels {
+			lines = append(lines, fmt.Sprintf("m%d vert %d slot=%d", sh.id, sh.id+i*sh.mu, slot))
 		}
 		for comp, size := range sh.sizes {
 			lines = append(lines, fmt.Sprintf("m%d size %d=%d", sh.id, comp, size))

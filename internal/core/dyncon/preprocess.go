@@ -89,24 +89,34 @@ func (d *D) Preprocess(g *graph.Graph) staticmpc.Result {
 			seqs[root] = etour.BuildSeq(tadj, root)
 		}
 	}
+	// Load the labels and registries. Singleton components stay implicit
+	// (a singleton's canonical root is the vertex itself), exactly as New
+	// leaves every vertex.
 	sizes := map[int64]int{}
-	for _, sh := range d.shards {
-		sh.compVerts = make(map[int64][]int32)
-	}
 	for v := 0; v < g.N(); v++ {
 		sizes[comps[v]]++
-		sh := d.shards[d.owner(v)]
-		sh.verts[int32(v)] = comps[v]
-		sh.compVerts[comps[v]] = append(sh.compVerts[comps[v]], int32(v))
 	}
-	// Reset registries to the new components.
 	for _, sh := range d.shards {
+		clear(sh.labels)
+		sh.implicit = len(sh.labels)
+		sh.compVerts = make(map[int64][]int32)
 		sh.sizes = make(map[int64]int)
 		sh.tree = make(map[graph.Edge]*treeRec)
 		sh.nontree = make(map[graph.Edge]*ntRec)
 	}
+	for v := 0; v < g.N(); v++ {
+		c := comps[v]
+		if sizes[c] == 1 {
+			continue
+		}
+		sh := d.shards[d.owner(v)]
+		sh.setLabel(int32(v), c)
+		sh.compVerts[c] = append(sh.compVerts[c], int32(v))
+	}
 	for c, k := range sizes {
-		d.shards[d.registry(c)].sizes[c] = k
+		if k > 1 {
+			d.shards[d.registry(c)].sizes[c] = k
+		}
 	}
 
 	// Tree records from arc positions.

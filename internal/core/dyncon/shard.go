@@ -49,7 +49,9 @@ const (
 
 // wire is the single message payload of the protocol; Kind selects which
 // fields are meaningful. Words charged per message reflect the populated
-// field count, all O(1).
+// field count, all O(1). Payloads travel as *wire and are read-only once
+// sent: every recipient of a broadcast shares one payload instead of
+// copying the whole struct out of the message.
 type wire struct {
 	Kind        kind
 	U, V        int32
@@ -149,18 +151,30 @@ type shard struct {
 	id, mu int
 	cfg    Config
 
-	verts map[int32]int64
-	// compVerts is the inverse of verts — component label -> owned
-	// vertices carrying it — so the broadcast relabel loops in onDoLink
-	// and onDoCut walk only the touched component instead of scanning
-	// every owned vertex (O(n/µ) per machine per broadcast, i.e. O(n)
-	// cluster-wide work per update once n reaches 10^5). The index is a
-	// runtime cache derived from verts: it never changes messages, stats
-	// or MemWords, which charge for the logical state only.
+	// labels is the dense component-label table of the owned vertices
+	// (v = id + i·µ at index i = v/µ), storing label+1. The zero value
+	// marks an implicit singleton: a vertex no link has touched is its
+	// own size-1 component labeled by its id, with no compVerts or
+	// sizes entry, so an empty graph costs one zeroed word per vertex
+	// and nothing else. A vertex materialises (gets a stored label) the
+	// first time a link names its component, and never goes back.
+	labels []int64
+	// implicit counts the owned vertices still implicit singletons.
+	// Their registry machine is their owner (comp v lives at v mod µ),
+	// so MemWords charges their registry words here.
+	implicit int
+	// compVerts is the inverse of labels over materialised components —
+	// component label -> owned vertices carrying it — so the broadcast
+	// relabel loops in onDoLink and onDoCut walk only the touched
+	// component instead of scanning every owned vertex (O(n/µ) per
+	// machine per broadcast, i.e. O(n) cluster-wide work per update once
+	// n reaches 10^5). The index is a runtime cache derived from labels:
+	// it never changes messages, stats or MemWords, which charge for the
+	// logical state only.
 	compVerts    map[int64][]int32
 	tree         map[graph.Edge]*treeRec
 	nontree      map[graph.Edge]*ntRec
-	sizes        map[int64]int
+	sizes        map[int64]int   // registry: materialised components only
 	queryResults map[int64]bool  // connectivity answers, gathered driver-side
 	compResults  map[int64]int64 // component answers, gathered driver-side
 	pend         map[int64]*pending
@@ -177,9 +191,14 @@ type shard struct {
 }
 
 func newShard(id, mu int, cfg Config) *shard {
+	owned := 0
+	if id < cfg.N {
+		owned = (cfg.N-id-1)/mu + 1
+	}
 	return &shard{
 		id: id, mu: mu, cfg: cfg,
-		verts:        make(map[int32]int64),
+		labels:       make([]int64, owned),
+		implicit:     owned,
 		compVerts:    make(map[int64][]int32),
 		tree:         make(map[graph.Edge]*treeRec),
 		nontree:      make(map[graph.Edge]*ntRec),
@@ -197,8 +216,56 @@ func newShard(id, mu int, cfg Config) *shard {
 func (s *shard) owner(v int32) int         { return int(v) % s.mu }
 func (s *shard) registry(comp int64) int32 { return int32(comp % int64(s.mu)) }
 
+// MemWords charges the paper's logical state, not the runtime
+// representation: two words per owned vertex and two per registered
+// component, implicit singletons included.
 func (s *shard) MemWords() int {
-	return 2*len(s.verts) + 7*len(s.tree) + 7*len(s.nontree) + 2*len(s.sizes) + 4*len(s.weights)
+	return 2*len(s.labels) + 7*len(s.tree) + 7*len(s.nontree) + 2*(len(s.sizes)+s.implicit) + 4*len(s.weights)
+}
+
+// label returns owned vertex v's component label.
+func (s *shard) label(v int32) int64 {
+	if l := s.labels[int(v)/s.mu]; l != 0 {
+		return l - 1
+	}
+	return int64(v)
+}
+
+// setLabel stores owned vertex v's label, materialising v if it was an
+// implicit singleton.
+func (s *shard) setLabel(v int32, comp int64) {
+	slot := &s.labels[int(v)/s.mu]
+	if *slot == 0 {
+		s.implicit--
+	}
+	*slot = comp + 1
+}
+
+// implicitHere reports whether comp is an implicit singleton whose
+// vertex this shard owns — and therefore also registers.
+func (s *shard) implicitHere(comp int64) bool {
+	return comp < int64(s.cfg.N) && s.owner(int32(comp)) == s.id && s.labels[int(comp)/s.mu] == 0
+}
+
+// members returns the owned vertices labeled comp: the compVerts entry
+// of a materialised component, or the vertex itself for an implicit
+// singleton.
+func (s *shard) members(comp int64) []int32 {
+	if vs, ok := s.compVerts[comp]; ok {
+		return vs
+	}
+	if s.implicitHere(comp) {
+		return []int32{int32(comp)}
+	}
+	return nil
+}
+
+// size returns the registry size of a component registered here.
+func (s *shard) size(comp int64) int {
+	if s.implicitHere(comp) {
+		return 1
+	}
+	return s.sizes[comp]
 }
 
 // flOf computes f(v), l(v) from the locally stored tree records — the
@@ -262,7 +329,7 @@ func applyChainRec(shifts []etour.Shift, rec *treeRec) {
 
 func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 	for _, m := range inbox {
-		w, ok := m.Payload.(wire)
+		w, ok := m.Payload.(*wire)
 		if !ok {
 			continue
 		}
@@ -271,15 +338,15 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 			s.startUpdate(ctx, w)
 		case kInfoReq:
 			f, l := s.flOf(w.U)
-			ctx.Send(int(w.ReplyTo), wire{
+			ctx.Send(int(w.ReplyTo), &wire{
 				Kind: kInfoRep, U: w.U, Seq: w.Seq,
-				Comp: s.verts[w.U], F: f, L: l,
+				Comp: s.label(w.U), F: f, L: l,
 			}, 7)
 		case kInfoRep:
 			s.onInfo(ctx, w)
 		case kSizeReq:
-			ctx.Send(int(w.ReplyTo), wire{
-				Kind: kSizeRep, Comp: w.Comp, Seq: w.Seq, Size: s.sizes[w.Comp],
+			ctx.Send(int(w.ReplyTo), &wire{
+				Kind: kSizeRep, Comp: w.Comp, Seq: w.Seq, Size: s.size(w.Comp),
 			}, 5)
 		case kSizeRep:
 			s.onSize(ctx, w)
@@ -303,13 +370,13 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 		case kPathMaxRep:
 			s.onPathMaxRep(ctx, w)
 		case kQuery:
-			ctx.Send(s.owner(w.V), wire{
-				Kind: kQueryFwd, U: w.U, V: w.V, Seq: w.Seq, Comp: s.verts[w.U],
+			ctx.Send(s.owner(w.V), &wire{
+				Kind: kQueryFwd, U: w.U, V: w.V, Seq: w.Seq, Comp: s.label(w.U),
 			}, 5)
 		case kQueryFwd:
-			s.queryResults[w.Seq] = s.verts[w.V] == w.Comp
+			s.queryResults[w.Seq] = s.label(w.V) == w.Comp
 		case kCompQuery:
-			s.compResults[w.Seq] = s.verts[w.V]
+			s.compResults[w.Seq] = s.label(w.V)
 		case kIntervalReq:
 			s.onIntervalReq(ctx, w)
 		case kIntervalRep:
@@ -324,9 +391,9 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 			s.onDPTop(ctx, w)
 		case kDPInfoReq:
 			f, l := s.flOf(w.U)
-			ctx.Send(int(w.ReplyTo), wire{
+			ctx.Send(int(w.ReplyTo), &wire{
 				Kind: kDPInfoRep, U: w.U, Seq: w.Seq,
-				Comp: s.verts[w.U], F: f, L: l,
+				Comp: s.label(w.U), F: f, L: l,
 			}, 7)
 		case kDPInfoRep:
 			s.onDPInfo(ctx, w)
@@ -346,7 +413,7 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 
 // startUpdate begins orchestration at the owner of the update's endpoint.
 // Deletes are marked by w.Flag.
-func (s *shard) startUpdate(ctx *mpc.Ctx, w wire) {
+func (s *shard) startUpdate(ctx *mpc.Ctx, w *wire) {
 	e := graph.NormEdge(int(w.U), int(w.V))
 	if w.U == w.V {
 		return
@@ -374,7 +441,7 @@ func (s *shard) startUpdate(ctx *mpc.Ctx, w wire) {
 			if other == s.id {
 				other = s.owner(int32(e.U))
 			}
-			ctx.Send(other, wire{Kind: kDelNonTree, U: int32(e.U), V: int32(e.V)}, 3)
+			ctx.Send(other, &wire{Kind: kDelNonTree, U: int32(e.U), V: int32(e.V)}, 3)
 		}
 		return
 	}
@@ -392,7 +459,7 @@ func (s *shard) startUpdate(ctx *mpc.Ctx, w wire) {
 		newComp: int64(s.cfg.N) + 2*w.Seq,
 	}
 	s.pend[w.Seq] = p
-	ctx.Send(int(s.registry(rec.comp)), wire{
+	ctx.Send(int(s.registry(rec.comp)), &wire{
 		Kind: kSizeReq, Comp: rec.comp, Seq: w.Seq, ReplyTo: int32(s.id),
 	}, 5)
 }
@@ -406,11 +473,11 @@ func childInterval(e *etour.EdgePos) (fy, ly int) {
 }
 
 func (s *shard) sendInfoReqs(ctx *mpc.Ctx, seq int64, u, v int32) {
-	ctx.Send(s.owner(u), wire{Kind: kInfoReq, U: u, Seq: seq, ReplyTo: int32(s.id)}, 4)
-	ctx.Send(s.owner(v), wire{Kind: kInfoReq, U: v, Seq: seq, ReplyTo: int32(s.id)}, 4)
+	ctx.Send(s.owner(u), &wire{Kind: kInfoReq, U: u, Seq: seq, ReplyTo: int32(s.id)}, 4)
+	ctx.Send(s.owner(v), &wire{Kind: kInfoReq, U: v, Seq: seq, ReplyTo: int32(s.id)}, 4)
 }
 
-func (s *shard) onInfo(ctx *mpc.Ctx, w wire) {
+func (s *shard) onInfo(ctx *mpc.Ctx, w *wire) {
 	p, ok := s.pend[w.Seq]
 	if !ok {
 		return
@@ -438,7 +505,7 @@ func (s *shard) onInfo(ctx *mpc.Ctx, w wire) {
 				p.stage = stPathMax
 				p.replies = 0
 				p.bestFound = false
-				ctx.Broadcast(wire{
+				ctx.Broadcast(&wire{
 					Kind: kPathMaxReq, Seq: w.Seq, Comp: p.compU,
 					F: p.fU, L: p.lU, Fy: p.fV, LyCut: p.lV,
 					ReplyTo: int32(s.id),
@@ -464,19 +531,19 @@ func (s *shard) onInfo(ctx *mpc.Ctx, w wire) {
 }
 
 func (s *shard) sendSizeReqs(ctx *mpc.Ctx, seq int64, compU, compV int64) {
-	ctx.Send(int(s.registry(compU)), wire{Kind: kSizeReq, Comp: compU, Seq: seq, ReplyTo: int32(s.id)}, 5)
-	ctx.Send(int(s.registry(compV)), wire{Kind: kSizeReq, Comp: compV, Seq: seq, ReplyTo: int32(s.id)}, 5)
+	ctx.Send(int(s.registry(compU)), &wire{Kind: kSizeReq, Comp: compU, Seq: seq, ReplyTo: int32(s.id)}, 5)
+	ctx.Send(int(s.registry(compV)), &wire{Kind: kSizeReq, Comp: compV, Seq: seq, ReplyTo: int32(s.id)}, 5)
 }
 
 func (s *shard) sendAddNonTree(ctx *mpc.Ctx, u, v int32, w int64, comp int64, au, av int) {
 	msg := wire{Kind: kAddNonTree, U: u, V: v, W: w, Comp: comp, AnchorU: au, AnchorV: av}
-	ctx.Send(s.owner(u), msg, 8)
+	ctx.Send(s.owner(u), &msg, 8)
 	if s.owner(v) != s.owner(u) {
-		ctx.Send(s.owner(v), msg, 8)
+		ctx.Send(s.owner(v), &msg, 8)
 	}
 }
 
-func (s *shard) onSize(ctx *mpc.Ctx, w wire) {
+func (s *shard) onSize(ctx *mpc.Ctx, w *wire) {
 	p, ok := s.pend[w.Seq]
 	if !ok {
 		return
@@ -512,7 +579,7 @@ func (s *shard) onSize(ctx *mpc.Ctx, w wire) {
 		} else {
 			p.stage = stCandidates // swap cut also collects (empty) candidate replies
 		}
-		ctx.Broadcast(wire{
+		ctx.Broadcast(&wire{
 			Kind: kDoCut, Seq: w.Seq,
 			U: int32(p.cutEdge.U), V: int32(p.cutEdge.V), W: p.cutW,
 			Comp: p.cutComp, Comp2: p.newComp,
@@ -527,7 +594,7 @@ func (s *shard) onSize(ctx *mpc.Ctx, w wire) {
 
 // onDoCut applies a cut broadcast to the local shard and reports a
 // replacement candidate (or the lack of one) to the orchestrator.
-func (s *shard) onDoCut(ctx *mpc.Ctx, w wire) {
+func (s *shard) onDoCut(ctx *mpc.Ctx, w *wire) {
 	e := graph.NormEdge(int(w.U), int(w.V))
 	fy, ly := w.Fy, w.LyCut
 	restSingleton := fy == 2 && ly == w.TourLen-1
@@ -573,7 +640,8 @@ func (s *shard) onDoCut(ctx *mpc.Ctx, w wire) {
 	// incident (already shifted) tree records; the named child endpoint is
 	// handled explicitly since it may have lost its only record. Only
 	// vertices labeled compOld can move, so the pass walks the compVerts
-	// inverse index instead of every owned vertex; all tour appearances of
+	// inverse index instead of every owned vertex (compOld has a tree
+	// edge, so it is materialised); all tour appearances of
 	// a vertex land on one side of the cut, so its incident records agree
 	// on the adopted label exactly as the old full scan did.
 	if members := s.compVerts[compOld]; len(members) > 0 {
@@ -588,7 +656,7 @@ func (s *shard) onDoCut(ctx *mpc.Ctx, w wire) {
 				continue // labeled compNew below
 			}
 			if c, ok := vcomp[v]; ok && c != compOld {
-				s.verts[v] = c
+				s.setLabel(v, c)
 				s.compVerts[c] = append(s.compVerts[c], v)
 			} else {
 				kept = append(kept, v)
@@ -601,7 +669,7 @@ func (s *shard) onDoCut(ctx *mpc.Ctx, w wire) {
 		}
 	}
 	if childV >= 0 {
-		s.verts[childV] = compNew
+		s.setLabel(childV, compNew)
 		s.compVerts[compNew] = append(s.compVerts[compNew], childV)
 	}
 	if captured != nil {
@@ -646,7 +714,7 @@ func (s *shard) onDoCut(ctx *mpc.Ctx, w wire) {
 			}
 		}
 	}
-	ctx.Send(int(w.ReplyTo), reply, 6)
+	ctx.Send(int(w.ReplyTo), &reply, 6)
 }
 
 // betterCandidate orders replacement candidates: min weight first in MST
@@ -661,7 +729,7 @@ func betterCandidate(mode Mode, w int64, u, v int32, bw int64, bu, bv int32) boo
 	return v < bv
 }
 
-func (s *shard) onCandidate(ctx *mpc.Ctx, w wire) {
+func (s *shard) onCandidate(ctx *mpc.Ctx, w *wire) {
 	p, ok := s.pend[w.Seq]
 	if !ok || p.stage != stCandidates {
 		return
@@ -697,7 +765,7 @@ func (s *shard) onCandidate(ctx *mpc.Ctx, w wire) {
 	s.sendInfoReqs(ctx, w.Seq, p.bestU, p.bestV)
 }
 
-func (s *shard) onPathMaxReq(ctx *mpc.Ctx, w wire) {
+func (s *shard) onPathMaxReq(ctx *mpc.Ctx, w *wire) {
 	// Broadcast fields: F,L = f(x),l(x); Fy,LyCut = f(y),l(y); Comp.
 	fx, fy := w.F, w.Fy
 	reply := wire{Kind: kPathMaxRep, Seq: w.Seq, Found: false}
@@ -716,10 +784,10 @@ func (s *shard) onPathMaxReq(ctx *mpc.Ctx, w wire) {
 			reply.U, reply.V, reply.W = int32(ge.U), int32(ge.V), rec.w
 		}
 	}
-	ctx.Send(int(w.ReplyTo), reply, 6)
+	ctx.Send(int(w.ReplyTo), &reply, 6)
 }
 
-func (s *shard) onPathMaxRep(ctx *mpc.Ctx, w wire) {
+func (s *shard) onPathMaxRep(ctx *mpc.Ctx, w *wire) {
 	p, ok := s.pend[w.Seq]
 	if !ok || p.stage != stPathMax {
 		return
@@ -748,29 +816,29 @@ func (s *shard) onPathMaxRep(ctx *mpc.Ctx, w wire) {
 	p.cutComp = p.compU
 	p.newComp = int64(s.cfg.N) + 2*w.Seq + 1
 	p.stage = stInterval
-	ctx.Send(s.owner(p.bestU), wire{
+	ctx.Send(s.owner(p.bestU), &wire{
 		Kind: kIntervalReq, U: p.bestU, V: p.bestV, Seq: w.Seq, ReplyTo: int32(s.id),
 	}, 5)
 }
 
-func (s *shard) onIntervalReq(ctx *mpc.Ctx, w wire) {
+func (s *shard) onIntervalReq(ctx *mpc.Ctx, w *wire) {
 	e := graph.NormEdge(int(w.U), int(w.V))
 	rec, ok := s.tree[e]
 	if !ok {
 		panic(fmt.Sprintf("dyncon: interval request for unknown tree edge %v at machine %d", e, s.id))
 	}
 	fy, ly := childInterval(&rec.pos)
-	ctx.Send(int(w.ReplyTo), wire{Kind: kIntervalRep, Seq: w.Seq, Fy: fy, LyCut: ly}, 5)
+	ctx.Send(int(w.ReplyTo), &wire{Kind: kIntervalRep, Seq: w.Seq, Fy: fy, LyCut: ly}, 5)
 }
 
-func (s *shard) onIntervalRep(ctx *mpc.Ctx, w wire) {
+func (s *shard) onIntervalRep(ctx *mpc.Ctx, w *wire) {
 	p, ok := s.pend[w.Seq]
 	if !ok || p.stage != stInterval {
 		return
 	}
 	p.fy, p.ly = w.Fy, w.LyCut
 	p.stage = stSizeForSwapCut
-	ctx.Send(int(s.registry(p.cutComp)), wire{
+	ctx.Send(int(s.registry(p.cutComp)), &wire{
 		Kind: kSizeReq, Comp: p.cutComp, Seq: w.Seq, ReplyTo: int32(s.id),
 	}, 5)
 }
@@ -817,11 +885,11 @@ func (s *shard) broadcastLink(ctx *mpc.Ctx, seq int64, x, y int32, w int64,
 		Comp: compX, Comp2: compY, Q: q, Ly: Ly,
 		Size: sizeX + sizeY, Shifts: shifts, Pos: pos, Promote: promote,
 	}
-	ctx.Broadcast(msg, msg.words(), true)
+	ctx.Broadcast(&msg, msg.words(), true)
 }
 
 // onDoLink applies a link broadcast to the local shard.
-func (s *shard) onDoLink(ctx *mpc.Ctx, w wire) {
+func (s *shard) onDoLink(ctx *mpc.Ctx, w *wire) {
 	compX, compY := w.Comp, w.Comp2
 	for _, rec := range s.tree {
 		applyChainRec(w.Shifts, rec)
@@ -866,12 +934,17 @@ func (s *shard) onDoLink(ctx *mpc.Ctx, w wire) {
 			rec.Anchor, rec.Comp = w.Q+2, compX
 		}
 	}
-	// Guest vertices adopt the host's label; the compVerts inverse index
+	// An implicit singleton host materialises under its own label before
+	// the guests join it. Guest vertices adopt the host's label; members
 	// hands over exactly the owned vertices labeled compY, so the relabel
 	// is O(|guest ∩ shard|) instead of a scan over every owned vertex.
-	guests := s.compVerts[compY]
+	if s.implicitHere(compX) {
+		s.setLabel(int32(compX), compX)
+		s.compVerts[compX] = []int32{int32(compX)}
+	}
+	guests := s.members(compY)
 	for _, v := range guests {
-		s.verts[v] = compX
+		s.setLabel(v, compX)
 	}
 	if len(guests) > 0 {
 		s.compVerts[compX] = append(s.compVerts[compX], guests...)

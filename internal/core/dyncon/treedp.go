@@ -51,14 +51,14 @@ type dpPending struct {
 // The anchor is any current appearance of the vertex (f(v), computed on
 // demand; 0 for a singleton) — from here on it is maintained purely by
 // the broadcast shift chains, like every non-tree anchor.
-func (s *shard) onSetWeight(w wire) {
+func (s *shard) onSetWeight(w *wire) {
 	f, _ := s.flOf(w.U)
-	s.weights[w.U] = &treedp.Rec{Anchor: f, Comp: s.verts[w.U], W: w.W}
+	s.weights[w.U] = &treedp.Rec{Anchor: f, Comp: s.label(w.U), W: w.W}
 }
 
-func (s *shard) onDPSubtree(ctx *mpc.Ctx, w wire) {
+func (s *shard) onDPSubtree(ctx *mpc.Ctx, w *wire) {
 	u, r := w.U, w.V
-	comp := s.verts[u]
+	comp := s.label(u)
 	if u == r {
 		// Rooting at u itself: the subtree is the whole component.
 		s.qpend[w.Seq] = &dpPending{kind: graph.OpSubtreeSum, u: u, comp: comp}
@@ -67,10 +67,10 @@ func (s *shard) onDPSubtree(ctx *mpc.Ctx, w wire) {
 	}
 	fu, lu := s.flOf(u)
 	s.qpend[w.Seq] = &dpPending{kind: graph.OpSubtreeSum, u: u, v: r, comp: comp, fu: fu, lu: lu}
-	ctx.Send(s.owner(r), wire{Kind: kDPInfoReq, U: r, Seq: w.Seq, ReplyTo: int32(s.id)}, 4)
+	ctx.Send(s.owner(r), &wire{Kind: kDPInfoReq, U: r, Seq: w.Seq, ReplyTo: int32(s.id)}, 4)
 }
 
-func (s *shard) onDPPath(ctx *mpc.Ctx, w wire) {
+func (s *shard) onDPPath(ctx *mpc.Ctx, w *wire) {
 	u, v := w.U, w.V
 	if u == v {
 		// The trivial path: w(u), readable locally at u's owner.
@@ -82,19 +82,19 @@ func (s *shard) onDPPath(ctx *mpc.Ctx, w wire) {
 		return
 	}
 	fu, _ := s.flOf(u)
-	s.qpend[w.Seq] = &dpPending{kind: graph.OpPathSum, u: u, v: v, comp: s.verts[u], fu: fu}
-	ctx.Send(s.owner(v), wire{Kind: kDPInfoReq, U: v, Seq: w.Seq, ReplyTo: int32(s.id)}, 4)
+	s.qpend[w.Seq] = &dpPending{kind: graph.OpPathSum, u: u, v: v, comp: s.label(u), fu: fu}
+	ctx.Send(s.owner(v), &wire{Kind: kDPInfoReq, U: v, Seq: w.Seq, ReplyTo: int32(s.id)}, 4)
 }
 
-func (s *shard) onDPTop(ctx *mpc.Ctx, w wire) {
-	comp := s.verts[w.U]
+func (s *shard) onDPTop(ctx *mpc.Ctx, w *wire) {
+	comp := s.label(w.U)
 	s.qpend[w.Seq] = &dpPending{kind: graph.OpTreeTop, u: w.U, comp: comp}
-	ctx.Broadcast(wire{Kind: kDPTopReq, Seq: w.Seq, Comp: comp, ReplyTo: int32(s.id)}, 4, true)
+	ctx.Broadcast(&wire{Kind: kDPTopReq, Seq: w.Seq, Comp: comp, ReplyTo: int32(s.id)}, 4, true)
 }
 
 // onDPInfo resumes a SubtreeSum or PathSum orchestration once the far
 // vertex's component and appearance arrive.
-func (s *shard) onDPInfo(ctx *mpc.Ctx, w wire) {
+func (s *shard) onDPInfo(ctx *mpc.Ctx, w *wire) {
 	p, ok := s.qpend[w.Seq]
 	if !ok {
 		return
@@ -122,7 +122,7 @@ func (s *shard) onDPInfo(ctx *mpc.Ctx, w wire) {
 			return
 		}
 		p.replies, p.sum = 0, 0
-		ctx.Broadcast(wire{
+		ctx.Broadcast(&wire{
 			Kind: kDPPathReq, Seq: w.Seq, Comp: p.comp,
 			F: p.fu, L: w.F, ReplyTo: int32(s.id),
 		}, 6, true)
@@ -154,7 +154,7 @@ func (s *shard) childTowards(u int32, comp int64, fr int) (int, int) {
 func (s *shard) dpBroadcastSum(ctx *mpc.Ctx, seq int64, comp int64, span treedp.Span) {
 	p := s.qpend[seq]
 	p.replies, p.sum = 0, 0
-	ctx.Broadcast(wire{
+	ctx.Broadcast(&wire{
 		Kind: kDPSumReq, Seq: seq, Comp: comp, Span: span, ReplyTo: int32(s.id),
 	}, 4+span.Words(), true)
 }
@@ -162,17 +162,17 @@ func (s *shard) dpBroadcastSum(ctx *mpc.Ctx, seq int64, comp int64, span treedp.
 // onDPSumReq evaluates the Span over the shard's weight records: one
 // anchor comparison per record, one partial sum back. O(local records)
 // work, O(1) words.
-func (s *shard) onDPSumReq(ctx *mpc.Ctx, w wire) {
+func (s *shard) onDPSumReq(ctx *mpc.Ctx, w *wire) {
 	var sum int64
 	for _, rec := range s.weights {
 		if rec.Comp == w.Comp && w.Span.Contains(rec.Anchor) {
 			sum += rec.W
 		}
 	}
-	ctx.Send(int(w.ReplyTo), wire{Kind: kDPSumRep, Seq: w.Seq, W: sum}, 3)
+	ctx.Send(int(w.ReplyTo), &wire{Kind: kDPSumRep, Seq: w.Seq, W: sum}, 3)
 }
 
-func (s *shard) onDPSumRep(w wire) {
+func (s *shard) onDPSumRep(w *wire) {
 	p, ok := s.qpend[w.Seq]
 	if !ok {
 		return
@@ -192,7 +192,7 @@ func (s *shard) onDPSumRep(w wire) {
 // positions on incident records — the owner holds them all) and whether
 // a single child interval holds both broadcast appearances; OnPath then
 // keeps exactly the vertices of the u–v path (LCA included once).
-func (s *shard) onDPPathReq(ctx *mpc.Ctx, w wire) {
+func (s *shard) onDPPathReq(ctx *mpc.Ctx, w *wire) {
 	au, av := w.F, w.L
 	type pathInfo struct {
 		f, l      int
@@ -241,15 +241,15 @@ func (s *shard) onDPPathReq(ctx *mpc.Ctx, w wire) {
 			}
 		}
 	}
-	ctx.Send(int(w.ReplyTo), wire{Kind: kDPSumRep, Seq: w.Seq, W: sum}, 3)
+	ctx.Send(int(w.ReplyTo), &wire{Kind: kDPSumRep, Seq: w.Seq, W: sum}, 3)
 }
 
 // onDPTopReq reports the shard's local argmax over the component's
 // owned vertices — every vertex counts, at weight 0 when unrecorded, so
 // the global answer is total over the component.
-func (s *shard) onDPTopReq(ctx *mpc.Ctx, w wire) {
+func (s *shard) onDPTopReq(ctx *mpc.Ctx, w *wire) {
 	reply := wire{Kind: kDPTopRep, Seq: w.Seq}
-	for _, v := range s.compVerts[w.Comp] {
+	for _, v := range s.members(w.Comp) {
 		var wt int64
 		if rec, ok := s.weights[v]; ok {
 			wt = rec.W
@@ -259,10 +259,10 @@ func (s *shard) onDPTopReq(ctx *mpc.Ctx, w wire) {
 			reply.U, reply.W = v, wt
 		}
 	}
-	ctx.Send(int(w.ReplyTo), reply, 5)
+	ctx.Send(int(w.ReplyTo), &reply, 5)
 }
 
-func (s *shard) onDPTopRep(w wire) {
+func (s *shard) onDPTopRep(w *wire) {
 	p, ok := s.qpend[w.Seq]
 	if !ok || p.kind != graph.OpTreeTop {
 		return

@@ -89,6 +89,20 @@ type Op struct {
 // IsQuery reports whether the op is a read.
 func (o Op) IsQuery() bool { return o.Kind.IsQuery() }
 
+// InRange reports whether every vertex the op names lies in [0, n).
+// Single-vertex kinds (OpSetWeight, OpComponentOf, OpMateOf, OpTreeTop)
+// name only U; their V is ignored.
+func (o Op) InRange(n int) bool {
+	if o.U < 0 || o.U >= n {
+		return false
+	}
+	switch o.Kind {
+	case OpSetWeight, OpComponentOf, OpMateOf, OpTreeTop:
+		return true
+	}
+	return o.V >= 0 && o.V < n
+}
+
 // Update converts a write op to the legacy Update form. It panics on a
 // query op: a read has no Update representation, and silently coercing one
 // would corrupt a replay. It also panics on OpSetWeight, which is a write

@@ -161,3 +161,30 @@ func TestMixedStreamTracksReadFrac(t *testing.T) {
 		t.Fatalf("read fraction %.2f, want ~0.5", frac)
 	}
 }
+
+// TestOpInRange: two-vertex kinds bound both endpoints; single-vertex
+// kinds bound only U and ignore V.
+func TestOpInRange(t *testing.T) {
+	for _, c := range []struct {
+		op   Op
+		want bool
+	}{
+		{OpIns(0, 7, 1), true},
+		{OpIns(0, 8, 1), false},
+		{OpDel(-1, 2), false},
+		{OpQConnected(7, 0), true},
+		{OpQConnected(3, -1), false},
+		{OpQMatched(8, 1), false},
+		{OpQSubtreeSum(9, 1), false},
+		{OpQPathSum(1, 2), true},
+		{OpQComponentOf(7), true},
+		{OpQComponentOf(8), false},
+		{Op{Kind: OpMateOf, U: 2, V: 99}, true},
+		{Op{Kind: OpTreeTop, U: -3}, false},
+		{OpSetW(7, 5), true},
+	} {
+		if got := c.op.InRange(8); got != c.want {
+			t.Errorf("%v.InRange(8) = %v, want %v", c.op, got, c.want)
+		}
+	}
+}

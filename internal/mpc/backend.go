@@ -60,7 +60,7 @@ func ParseBackend(s string) (BackendKind, error) {
 // injected messages, and runs one synchronous round at a time. The
 // Cluster folds the returned RoundStats into its accounting windows; a
 // backend must produce bit-identical RoundStats, Stats side effects
-// (pairWords, violations, peak memory) and machine state transitions for
+// (pair volumes, violations, peak memory) and machine state transitions for
 // a given input history regardless of its execution strategy — the
 // determinism rule that keeps every backend interchangeable with the
 // BackendSim oracle.
@@ -103,8 +103,7 @@ type backendBase struct {
 	inPending []bool
 	active    []int
 
-	pool  msgPool   // retired inbox backing arrays, payload-cleared (pool.go)
-	pairs pairStage // flat per-round (from,to,words) runs, folded at settle
+	pool msgPool // retired inbox backing arrays, payload-cleared (pool.go)
 
 	// debugActive, when set by tests, observes every round's active set
 	// right after beginRound computes it — the strictly-ascending,
@@ -131,12 +130,10 @@ func (b *backendBase) markPending(id int) {
 }
 
 // Deliver enqueues an externally injected message (Cluster.Send). An
-// out-of-range destination is a model violation, not an index panic, and
-// injected words count toward the pair-communication distribution so
-// CommEntropy sees the cluster's full traffic. External injection folds
-// into the pair map directly — unlike the settle path, no round boundary
-// is guaranteed to follow, and CommEntropy/MaxPairWords must be current
-// whenever the driver looks.
+// out-of-range destination, or a sender that is neither a machine nor
+// -1 (external), is a model violation, not an index panic; injected
+// words count toward the pair-communication distribution so CommEntropy
+// sees the cluster's full traffic.
 func (b *backendBase) Deliver(msg Message) {
 	if msg.Words <= 0 {
 		msg.Words = 1
@@ -145,7 +142,11 @@ func (b *backendBase) Deliver(msg Message) {
 		b.c.violation("external send to invalid machine %d", msg.To)
 		return
 	}
-	b.c.stats.pairWords[[2]int{msg.From, msg.To}] += msg.Words
+	if msg.From < -1 || msg.From >= len(b.inboxes) {
+		b.c.violation("external send from invalid machine %d", msg.From)
+		return
+	}
+	b.c.stats.pairs.row(msg.From).add(msg.To, msg.Words, len(b.inboxes))
 	b.inboxes[msg.To] = b.pool.grab(b.inboxes[msg.To], msg)
 	b.markPending(msg.To)
 }
@@ -219,28 +220,29 @@ func msgLess(a, b Message) bool {
 // stages every active machine's outgoing messages and next-round
 // schedules in ascending machine order — the merge order that keeps
 // delivery, pair accounting and violations bit-identical across
-// backends — enforces the per-machine I/O cap, folds the round's staged
-// pair-communication runs into the lifetime map in one pass, recycles
-// each Ctx for the backend's slab, and folds memory accounting. ctxAt
-// maps an active-set position (and its machine id) to the Ctx the
-// handler ran with.
+// backends — charges each message to its sender's pair row, enforces the
+// per-machine I/O cap, recycles each Ctx for the backend's slab, and
+// folds memory accounting. ctxAt maps an active-set position (and its
+// machine id) to the Ctx the handler ran with.
 func (b *backendBase) settle(active []int, ctxAt func(i, id int) *Ctx) {
 	for _, id := range active {
 		b.inboxes[id] = b.pool.retire(b.inboxes[id])
 		b.sched[id] = false
 	}
+	mu := len(b.inboxes)
 	for i, id := range active {
 		ctx := ctxAt(i, id)
+		row := b.c.stats.pairs.row(id)
 		sent := 0
 		for _, msg := range ctx.out {
 			sent += msg.Words
-			if msg.To < 0 || msg.To >= len(b.c.machines) {
+			if msg.To < 0 || msg.To >= mu {
 				b.c.violation("machine %d sent to invalid machine %d", id, msg.To)
 				continue
 			}
 			b.inboxes[msg.To] = b.pool.grab(b.inboxes[msg.To], msg)
 			b.markPending(msg.To)
-			b.pairs.add(msg.From, msg.To, msg.Words)
+			row.add(msg.To, msg.Words, mu)
 		}
 		if sent > b.c.cfg.MemWords {
 			b.c.violation("machine %d sent %d words in one round (cap %d)", id, sent, b.c.cfg.MemWords)
@@ -253,7 +255,6 @@ func (b *backendBase) settle(active []int, ctxAt func(i, id int) *Ctx) {
 		}
 		ctx.recycle()
 	}
-	b.pairs.fold(&b.c.stats)
 	for _, id := range active {
 		if mr, ok := b.c.machines[id].(MemReporter); ok {
 			w := mr.MemWords()

@@ -258,3 +258,27 @@ func itoa(n int) string {
 	}
 	return string(buf[i:])
 }
+
+// TestDeliverRejectsInvalidSender: Message.From is a machine id or -1
+// (external). Any other sender is a model violation, like an invalid
+// destination: counted, dropped before delivery and absent from the pair
+// distribution — on both backends.
+func TestDeliverRejectsInvalidSender(t *testing.T) {
+	for _, be := range []BackendKind{BackendSim, BackendParallel} {
+		c := NewCluster(Config{Machines: 4, MemWords: 64, Workers: 2, Backend: be})
+		c.Send(Message{From: 4, To: 0, Payload: 1, Words: 3})
+		c.Send(Message{From: -2, To: 1, Payload: 1, Words: 3})
+		if v := c.Stats().Violations; v != 2 {
+			t.Fatalf("%v: %d violations after two invalid senders, want 2", be, v)
+		}
+		if !c.Quiescent() || c.CommEntropy() != 0 || c.MaxPairWords() != 0 {
+			t.Fatalf("%v: invalid-sender messages were delivered or charged", be)
+		}
+		c.Send(Message{From: 3, To: 0, Payload: 1, Words: 3})
+		c.Send(Message{From: -1, To: 1, Payload: 1, Words: 2})
+		if v := c.Stats().Violations; v != 2 || c.Quiescent() || c.MaxPairWords() != 3 {
+			t.Fatalf("%v: valid senders refused (violations %d, max pair %d)", be, v, c.MaxPairWords())
+		}
+		c.Close()
+	}
+}

@@ -313,7 +313,7 @@ type Stats struct {
 	Words         int
 	PeakMemWords  int
 	Violations    int
-	pairWords     map[[2]int]int // communication volume per (from,to) pair
+	pairs         pairRows // lifetime communication volume per (from,to) pair (pairs.go)
 	updates       []UpdateStats
 	currentUpdate *UpdateStats
 	batches       []BatchStats
@@ -485,7 +485,7 @@ func NewCluster(cfg Config) *Cluster {
 		cfg:      cfg,
 		machines: make([]Machine, cfg.Machines),
 	}
-	c.stats.pairWords = make(map[[2]int]int)
+	c.stats.pairs.mu = cfg.Machines
 	switch cfg.Backend {
 	case BackendSim:
 		c.backend = newSimBackend(c, w)
@@ -527,8 +527,9 @@ func (c *Cluster) Schedule(id int) {
 // Send enqueues a message for delivery at the start of the next round. It is
 // intended for injecting external input (e.g. a graph update) into the
 // cluster; machines use Ctx.Send instead. From may be -1 for "external".
-// A destination outside the cluster is a model violation (counted, fatal
-// in strict mode) and the message is dropped; delivered words count
+// A destination outside the cluster, or a sender that is neither a
+// machine nor -1, is a model violation (counted, fatal in strict mode)
+// and the message is dropped; delivered words count
 // toward the pair-communication distribution CommEntropy reports on.
 func (c *Cluster) Send(msg Message) {
 	c.backend.Deliver(msg)
@@ -822,11 +823,10 @@ func (c *Cluster) violation(format string, args ...any) {
 // across backends, pinned by the equivalence fingerprints — does not
 // tolerate.
 func (c *Cluster) CommEntropy() float64 {
+	volumes := c.stats.pairs.volumes()
 	total := 0
-	volumes := make([]int, 0, len(c.stats.pairWords))
-	for _, w := range c.stats.pairWords {
+	for _, w := range volumes {
 		total += w
-		volumes = append(volumes, w)
 	}
 	if total == 0 {
 		return 0
@@ -846,7 +846,7 @@ func (c *Cluster) CommEntropy() float64 {
 // spike is. Zero for a cluster that has communicated nothing.
 func (c *Cluster) MaxPairWords() int {
 	max := 0
-	for _, w := range c.stats.pairWords {
+	for _, w := range c.stats.pairs.volumes() {
 		if w > max {
 			max = w
 		}

@@ -70,40 +70,3 @@ func (ctx *Ctx) recycle() {
 	ctx.out = ctx.out[:0]
 	ctx.schedule = ctx.schedule[:0]
 }
-
-// pairEntry is one run of same-pair traffic staged by the current round.
-type pairEntry struct {
-	from, to, words int
-}
-
-// pairStage is the flat per-round accumulator for the pair-communication
-// distribution. The delivery path used to do one map[[2]int]int write per
-// staged message; the stage instead appends to a reused flat slice —
-// coalescing consecutive same-pair messages, the common shape of a sender
-// streaming to one destination — and folds into the map once at the end
-// of settle. Integer addition commutes, so the folded map (and with it
-// CommEntropy and MaxPairWords) is bit-identical to the per-message
-// writes.
-type pairStage struct {
-	entries []pairEntry
-}
-
-// add stages words of (from → to) traffic.
-func (s *pairStage) add(from, to, words int) {
-	if n := len(s.entries); n > 0 {
-		if e := &s.entries[n-1]; e.from == from && e.to == to {
-			e.words += words
-			return
-		}
-	}
-	s.entries = append(s.entries, pairEntry{from: from, to: to, words: words})
-}
-
-// fold flushes the staged runs into the lifetime pair map and resets the
-// stage for the next round.
-func (s *pairStage) fold(st *Stats) {
-	for _, e := range s.entries {
-		st.pairWords[[2]int{e.from, e.to}] += e.words
-	}
-	s.entries = s.entries[:0]
-}

@@ -35,7 +35,8 @@ func (x *xorshift) next() uint64 {
 // TestSteadyStateAllocsPerRound pins the allocation bill of a
 // steady-state Round with every machine active — the pooled hot path.
 // The parallel backend's per-round scratch (active set, Ctx slab, inbox
-// backing arrays, pair staging) is fully recycled, so its budget is zero.
+// backing arrays) is fully recycled and the pair rows grow only on a
+// pair's first message, so its budget is zero.
 // The sim oracle inherently spawns one handler goroutine per activation
 // (a closure plus the goroutine itself, ~2 allocations per active
 // machine); its budget pins that linear bill so the pooled parts can't
@@ -241,41 +242,5 @@ func TestMsgPoolPayloadClearing(t *testing.T) {
 	// A never-grown slice has no backing array to bank.
 	if out := p.retire(nil); out != nil || len(p.free) != 0 {
 		t.Fatalf("retire(nil) banked something: out=%v free=%d", out, len(p.free))
-	}
-}
-
-// TestPairStageFoldMatchesDirectWrites: folding the flat per-round runs
-// into the pair map — across random fold boundaries and with run-heavy
-// sequences exercising the same-pair coalescing — produces exactly the
-// map the old per-message writes built. Integer addition commutes, so
-// "exactly" means bit-identical CommEntropy/MaxPairWords inputs.
-func TestPairStageFoldMatchesDirectWrites(t *testing.T) {
-	var stage pairStage
-	st := Stats{pairWords: map[[2]int]int{}}
-	direct := map[[2]int]int{}
-	rng := xorshift(7)
-	from, to := 0, 1
-	for i := 0; i < 2000; i++ {
-		if rng.next()%3 != 0 { // bias toward repeating the previous pair
-			from, to = int(rng.next()%5), int(rng.next()%5)
-		}
-		words := int(rng.next()%9) + 1
-		stage.add(from, to, words)
-		direct[[2]int{from, to}] += words
-		if rng.next()%40 == 0 { // random round boundary
-			stage.fold(&st)
-		}
-	}
-	stage.fold(&st)
-	if len(stage.entries) != 0 {
-		t.Fatalf("stage holds %d entries after fold, want 0", len(stage.entries))
-	}
-	if len(st.pairWords) != len(direct) {
-		t.Fatalf("folded map has %d pairs, direct writes %d", len(st.pairWords), len(direct))
-	}
-	for pair, w := range direct {
-		if st.pairWords[pair] != w {
-			t.Fatalf("pair %v: folded %d words, direct %d", pair, st.pairWords[pair], w)
-		}
 	}
 }

@@ -50,8 +50,9 @@ type StreamStats struct {
 	// Windows holds each flush's mixed accounting, in flush order.
 	Windows []MixedStats
 
-	// Rejected counts ops refused by a per-tenant admission policy
-	// before entering the forming set; Rejections records each one.
+	// Rejected counts ops refused before entering the forming set — by a
+	// per-tenant admission policy, or because they name a vertex outside
+	// the structure's [0, n); Rejections records each one.
 	// Rejected ops are not counted in Ops and record no latency — they
 	// never ran.
 	Rejected   int         `json:",omitempty"`
@@ -64,8 +65,9 @@ type StreamStats struct {
 	Tenants map[int]*TenantStreamStats `json:",omitempty"`
 }
 
-// Rejection is one op refused by a per-tenant admission policy: a typed
-// record instead of a silent drop. Index is the op's position in the
+// Rejection is one op refused at admission — by a per-tenant admission
+// policy or the front-door vertex bounds check: a typed record instead of
+// a silent drop. Index is the op's position in the
 // whole pushed stream (admitted and rejected, 0-based); Query reports
 // whether the op was a read — a rejected query additionally gets a
 // positional Results entry with Answer.Rejected set, so result indexing
