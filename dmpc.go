@@ -345,11 +345,12 @@ func NewGraph(n int) *Graph { return graph.New(n) }
 // single op stream, with snapshot-consistent in-wave reads. Apply returns
 // the answers positionally over the stream's queries (the j-th Answer
 // answers the j-th op with IsQuery() true) and the mixed window's
-// accounting. Each structure answers its own query kinds — OpConnected
-// and OpComponentOf on Connectivity/MST, OpMateOf and OpMatched on the
-// matchings — and panics on a kind it cannot answer. The facade's
-// structures refuse an op naming a vertex outside [0, n) at the front
-// door: it never runs, and a refused query answers with Rejected set.
+// accounting. Each structure answers its own query kinds — OpConnected,
+// OpComponentOf and the tree-DP reads on Connectivity/MST, OpMateOf and
+// OpMatched on the matchings. The facade's structures refuse, at the
+// front door, an op of a kind they do not support or naming a vertex
+// outside [0, n): it never runs, it is recorded as a Rejection, and a
+// refused query answers with Rejected set.
 type Pipeline interface {
 	Apply(ops []Op) (Results, MixedStats)
 	Cluster() *Cluster
@@ -368,19 +369,42 @@ var (
 )
 
 // pipe is the facade plumbing shared by all four structures — the one
-// copy of the Apply front door, the vertex count the Ingestor bounds op
-// ids against, the per-op claims oracle it admits arrivals with, and the
-// Cluster accessor.
+// copy of the Apply front door, the vertex count and op kinds the
+// Ingestor checks ops against, the per-op claims oracle it admits
+// arrivals with, and the Cluster accessor.
 type pipe struct {
 	n      int
+	kinds  kindSet
 	apply  func([]graph.Op) (graph.Results, mpc.MixedStats)
 	claims func(graph.Op) sched.Item
 	cl     *mpc.Cluster
 }
 
-func newPipe(n int, apply func([]graph.Op) (graph.Results, mpc.MixedStats), claims func(graph.Op) sched.Item, cl *mpc.Cluster) pipe {
-	return pipe{n: n, apply: apply, claims: claims, cl: cl}
+func newPipe(n int, kinds kindSet, apply func([]graph.Op) (graph.Results, mpc.MixedStats), claims func(graph.Op) sched.Item, cl *mpc.Cluster) pipe {
+	return pipe{n: n, kinds: kinds, apply: apply, claims: claims, cl: cl}
 }
+
+// kindSet is a set of op kinds, one bit per kind.
+type kindSet uint32
+
+func kindsOf(ks ...graph.OpKind) kindSet {
+	var s kindSet
+	for _, k := range ks {
+		s |= 1 << k
+	}
+	return s
+}
+
+func (s kindSet) has(k graph.OpKind) bool { return k >= 0 && k < 32 && s&(1<<k) != 0 }
+
+// The op kinds each family of structures supports: the §5 structures
+// take edge and vertex-weight writes, connectivity reads and tree-DP
+// reads; the matchings take edge writes and matching reads.
+var (
+	connKinds = kindsOf(graph.OpInsert, graph.OpDelete, graph.OpSetWeight,
+		graph.OpConnected, graph.OpComponentOf, graph.OpSubtreeSum, graph.OpPathSum, graph.OpTreeTop)
+	matchKinds = kindsOf(graph.OpInsert, graph.OpDelete, graph.OpMateOf, graph.OpMatched)
+)
 
 // Apply processes a mixed op stream through the structure's scheduled
 // pipeline in one MixedStats window; see Pipeline.
@@ -422,9 +446,9 @@ func (p pipe) rawApply(ops []Op) (Results, MixedStats) { return p.apply(ops) }
 // Ingestor's admission control.
 func (p pipe) streamClaims() func(graph.Op) sched.Item { return p.claims }
 
-// vertices exposes the structure's vertex count to the Ingestor's
-// front-door bounds check.
-func (p pipe) vertices() int { return p.n }
+// accepts is the Ingestor's front-door check: the op is of a kind the
+// structure supports and names only vertices in [0, n).
+func (p pipe) accepts(op graph.Op) bool { return p.kinds.has(op.Kind) && op.InRange(p.n) }
 
 // applyBatch is the shared deprecated ApplyBatch wrapper: the write-only
 // projection of Apply.
@@ -444,7 +468,7 @@ type Connectivity struct {
 func NewConnectivity(n, expectedEdges int, opts ...Option) *Connectivity {
 	o := buildOptions(opts)
 	d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: expectedEdges, Backend: o.backend, Workers: o.workers, TenantWeights: o.tenants})
-	return &Connectivity{pipe: newPipe(n, d.ApplyOps, d.StreamItem, d.Cluster()), d: d}
+	return &Connectivity{pipe: newPipe(n, connKinds, d.ApplyOps, d.StreamItem, d.Cluster()), d: d}
 }
 
 // Insert adds an edge, returning the update's accounting.
@@ -502,7 +526,7 @@ type MST struct {
 func NewMST(n int, eps float64, expectedEdges int, opts ...Option) *MST {
 	o := buildOptions(opts)
 	d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.MST, Eps: eps, ExpectedEdges: expectedEdges, Backend: o.backend, Workers: o.workers, TenantWeights: o.tenants})
-	return &MST{pipe: newPipe(n, d.ApplyOps, d.StreamItem, d.Cluster()), d: d}
+	return &MST{pipe: newPipe(n, connKinds, d.ApplyOps, d.StreamItem, d.Cluster()), d: d}
 }
 
 // Insert adds a weighted edge.
@@ -599,7 +623,7 @@ type MaximalMatching struct {
 func NewMaximalMatching(n, capEdges int, opts ...Option) *MaximalMatching {
 	o := buildOptions(opts)
 	m := dmm.New(dmm.Config{N: n, CapEdges: capEdges, Backend: o.backend, Workers: o.workers, TenantWeights: o.tenants})
-	return &MaximalMatching{pipe: newPipe(n, m.ApplyOps, m.StreamItem, m.Cluster()), m: m}
+	return &MaximalMatching{pipe: newPipe(n, matchKinds, m.ApplyOps, m.StreamItem, m.Cluster()), m: m}
 }
 
 // NewThreeHalvesMatching builds the §4 structure: a 3/2-approximate
@@ -607,7 +631,7 @@ func NewMaximalMatching(n, capEdges int, opts ...Option) *MaximalMatching {
 func NewThreeHalvesMatching(n, capEdges int, opts ...Option) *MaximalMatching {
 	o := buildOptions(opts)
 	m := dmm.New(dmm.Config{N: n, CapEdges: capEdges, ThreeHalves: true, Backend: o.backend, Workers: o.workers, TenantWeights: o.tenants})
-	return &MaximalMatching{pipe: newPipe(n, m.ApplyOps, m.StreamItem, m.Cluster()), m: m}
+	return &MaximalMatching{pipe: newPipe(n, matchKinds, m.ApplyOps, m.StreamItem, m.Cluster()), m: m}
 }
 
 // Insert adds an edge.
@@ -678,7 +702,7 @@ func ammStreamItem(op graph.Op) sched.Item {
 func NewAlmostMaximalMatching(n int, eps float64, seed int64, opts ...Option) *AlmostMaximalMatching {
 	o := buildOptions(opts)
 	m := amm.New(amm.Config{N: n, Eps: eps, Seed: seed, Backend: o.backend, Workers: o.workers})
-	return &AlmostMaximalMatching{pipe: newPipe(n, m.ApplyOps, ammStreamItem, m.Cluster()), m: m}
+	return &AlmostMaximalMatching{pipe: newPipe(n, matchKinds, m.ApplyOps, ammStreamItem, m.Cluster()), m: m}
 }
 
 // Insert adds an edge.

@@ -1,6 +1,7 @@
 package dmpc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -400,23 +401,52 @@ func TestPipelineMixedAlmostMaximal(t *testing.T) {
 	}
 }
 
-// TestPipelineRejectsForeignKinds pins the typed-kind contract: a
-// structure panics on a query kind it cannot answer instead of returning
-// garbage.
+// TestPipelineRejectsForeignKinds pins the typed-kind contract on every
+// facade structure and both backends: an op of a kind the structure does
+// not answer is refused at the front door — a typed Rejections record,
+// a Rejected answer for a query — instead of panicking inside the core
+// or returning garbage, through Apply and Ingest alike. Supported ops
+// around the refused ones are unaffected.
 func TestPipelineRejectsForeignKinds(t *testing.T) {
-	wantPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
+	connForeign := []Op{QMateOf(1), QMatched(1, 2), {Kind: graph.OpKind(42), U: 1, V: 2}}
+	matchForeign := []Op{QConnected(1, 2), QComponentOf(1), QSubtreeSum(1, 2), QPathSum(1, 2), QTreeTop(1), SetWeight(1, 5)}
+	for _, be := range []BackendKind{BackendSim, BackendParallel} {
+		for _, c := range []struct {
+			name    string
+			p       Pipeline
+			foreign []Op
+			probe   Op // a supported read: 1 and 2 are linked or matched
+		}{
+			{"Connectivity", NewConnectivity(8, 16, WithBackend(be)), connForeign, QConnected(1, 2)},
+			{"MST", NewMST(8, 0, 16, WithBackend(be)), connForeign, QConnected(1, 2)},
+			{"MaximalMatching", NewMaximalMatching(8, 16, WithBackend(be)), matchForeign, QMatched(1, 2)},
+			{"ThreeHalvesMatching", NewThreeHalvesMatching(8, 16, WithBackend(be)), matchForeign, QMatched(1, 2)},
+			{"AlmostMaximalMatching", NewAlmostMaximalMatching(8, 0.5, 1, WithBackend(be)), matchForeign, QMatched(1, 2)},
+		} {
+			name := fmt.Sprintf("%s/%v", c.name, be)
+			for _, op := range c.foreign {
+				res, st := c.p.Apply([]Op{Ins(1, 2), op, c.probe})
+				var want []Answer
+				if op.IsQuery() {
+					want = append(want, Answer{Rejected: true})
+				}
+				want = append(want, Answer{Bool: true})
+				if fmt.Sprint(res) != fmt.Sprint(want) || st.Ops != 2 {
+					t.Fatalf("%s: Apply with %v answered %+v over %d ops, want %+v over 2", name, op, res, st.Ops, want)
+				}
+				res, sst := Ingest(c.p, ArrivalsNow([]Op{op, c.probe}), IngestorConfig{MaxBatch: 2})
+				if sst.Rejected != 1 || len(sst.Rejections) != 1 ||
+					sst.Rejections[0] != (Rejection{Index: 0, Query: op.IsQuery()}) {
+					t.Fatalf("%s: Ingest of %v: rejections %d %+v", name, op, sst.Rejected, sst.Rejections)
+				}
+				if !res[len(res)-1].Bool {
+					t.Fatalf("%s: Ingest of %v: probe answered %+v", name, op, res)
+				}
+				c.p.Apply([]Op{Del(1, 2)})
 			}
-		}()
-		f()
+			c.p.Close()
+		}
 	}
-	cc := NewConnectivity(8, 32)
-	wantPanic("MateOf on Connectivity", func() { cc.Apply([]Op{OpQMateOf(1)}) })
-	mm := NewMaximalMatching(8, 32)
-	wantPanic("Connected on MaximalMatching", func() { mm.Apply([]Op{OpQConnected(1, 2)}) })
 }
 
 // TestFrontDoorVertexBounds: an op naming a vertex outside [0, n) is

@@ -68,8 +68,8 @@ type IngestorConfig struct {
 	// Admission maps tenant id -> admission policy, consulted before an
 	// arrival enters the forming set. Tenants absent from the map are
 	// always admitted. A rejected op — refused by its tenant's policy, or
-	// by the front-door bounds check every facade structure applies to
-	// op vertex ids — is surfaced, never silently
+	// by the front-door check every facade structure applies to op kinds
+	// and vertex ids — is surfaced, never silently
 	// dropped: it is recorded in StreamStats.Rejections (and the
 	// tenant's Rejected count), and a rejected query additionally gets a
 	// positional Results entry with Rejected set so result indexing
@@ -148,11 +148,11 @@ func (tb *TokenBucket) Admit(now int64) bool {
 // bit-identical to Apply on the full slice for every arrival schedule
 // (pinned by the FuzzArrivalEquivalence harnesses).
 type Ingestor struct {
-	p      Pipeline
-	raw    func([]Op) (Results, MixedStats)
-	claims func(graph.Op) sched.Item
-	auto   *AutoBatcher
-	n      int // vertex count ops are bounded against; 0 = unchecked
+	p       Pipeline
+	raw     func([]Op) (Results, MixedStats)
+	claims  func(graph.Op) sched.Item
+	auto    *AutoBatcher
+	accepts func(graph.Op) bool // front-door op check; nil = unchecked
 
 	maxBatch int
 	maxAge   int64
@@ -202,8 +202,8 @@ func NewIngestor(cfg IngestorConfig) *Ingestor {
 }
 
 // newIngestor is the shared constructor; admission false builds the
-// degenerate ingestor Apply routes through (no claims, no bounds — one
-// tail flush).
+// degenerate ingestor Apply routes through (no claims — one tail flush;
+// the front-door check still applies).
 func newIngestor(p Pipeline, cfg IngestorConfig, admission bool) *Ingestor {
 	ing := &Ingestor{
 		p:           p,
@@ -230,8 +230,8 @@ func newIngestor(p Pipeline, cfg IngestorConfig, admission bool) *Ingestor {
 	} else {
 		ing.adm = sched.NewAdmitter(budget)
 	}
-	if vp, ok := p.(interface{ vertices() int }); ok {
-		ing.n = vp.vertices()
+	if vp, ok := p.(interface{ accepts(graph.Op) bool }); ok {
+		ing.accepts = vp.accepts
 	}
 	if admission {
 		if cp, ok := p.(interface {
@@ -294,15 +294,16 @@ func (ing *Ingestor) Push(a Arrival) {
 	if len(ing.forming) > 0 && ing.maxAge > 0 && a.At >= ing.formingAt[0]+ing.maxAge {
 		ing.flushAt(ing.formingAt[0]+ing.maxAge, flushAge)
 	}
-	// Front-door bounds and per-tenant admission: an op naming a vertex
-	// outside [0, n), or refused by its tenant's policy, never reaches
-	// the forming set (and so never a shard), but it is surfaced — a
-	// typed Rejections record, and for queries a positional Results
-	// entry with Rejected set (the age flush above still ran: a rejected
-	// arrival is an event on the virtual clock like any other). The
-	// bounds check runs first, so an invalid op spends no policy token.
+	// Front-door checks and per-tenant admission: an op of a kind the
+	// structure does not support, naming a vertex outside [0, n), or
+	// refused by its tenant's policy, never reaches the forming set (and
+	// so never a shard), but it is surfaced — a typed Rejections record,
+	// and for queries a positional Results entry with Rejected set (the
+	// age flush above still ran: a rejected arrival is an event on the
+	// virtual clock like any other). The front-door check runs first, so
+	// an invalid op spends no policy token.
 	pol := ing.admission[a.Op.Tenant]
-	if (ing.n > 0 && !a.Op.InRange(ing.n)) || (pol != nil && !pol.Admit(a.At)) {
+	if (ing.accepts != nil && !ing.accepts(a.Op)) || (pol != nil && !pol.Admit(a.At)) {
 		ing.stats.Rejected++
 		ing.stats.Rejections = append(ing.stats.Rejections, mpc.Rejection{
 			Index: ing.pushed, Tenant: a.Op.Tenant, At: a.At, Query: a.Op.IsQuery(),

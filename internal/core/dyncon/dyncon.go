@@ -24,13 +24,15 @@
 // learn those by sending and receiving an appropriate message"), reads
 // component sizes from the registry, and then broadcasts a single O(1)-word
 // message carrying the etour.Shift descriptors. Every machine applies the
-// shifts to every position it stores; because the maps are conditioned on
-// position values and component labels only, mirrored anchors stay
-// consistent with no further communication — this is the property §5
-// leverages to avoid Ω(N) neighbor updates. After a cut, machines scan
-// their non-tree records for anchors in different components (a crossing
-// edge) and report at most one candidate each; the orchestrator links the
-// winner back in, promoting it to a tree edge.
+// shifts to every position it stores in the components they name (a
+// per-component index keeps a broadcast's work on a machine proportional
+// to those records); because the maps are conditioned on position values
+// and component labels only, mirrored anchors stay consistent with no
+// further communication — this is the property §5 leverages to avoid
+// Ω(N) neighbor updates. After a cut, machines scan the cut-off
+// component's non-tree anchors for records spanning both sides (a
+// crossing edge) and report at most one candidate each; the orchestrator
+// links the winner back in, promoting it to a tree edge.
 //
 // In MST mode an insertion into a connected component first locates the
 // maximum-weight tree edge on the cycle via the ancestor trick: a tree
@@ -669,7 +671,8 @@ func (d *D) ForestWeight() graph.Weight {
 // must agree, every component's positions must reassemble into a valid
 // Euler tour, registry sizes must match vertex counts, and every non-tree
 // anchor must be a genuine appearance of its endpoint with consistent
-// component labels. Driver-side; used by tests after every update.
+// component labels, and every shard's per-component index must mirror
+// its records. Driver-side; used by tests after every update.
 func (d *D) Validate() error {
 	type agg struct {
 		rec  treeRec
@@ -698,16 +701,19 @@ func (d *D) Validate() error {
 		}
 	}
 
-	// The compVerts inverse index must mirror the materialised labels
-	// exactly on every shard: each materialised owned vertex listed once
-	// under its current label, no stale, empty or duplicate entries. The
-	// broadcast relabel loops walk this index instead of scanning the
-	// labels, so drift here would silently skip (or double-apply)
-	// component relabels.
+	// The per-component index must mirror the shard state exactly on
+	// every shard. Its verts lists are the inverse of the materialised
+	// labels: each materialised owned vertex listed once under its
+	// current label. Each tree record is filed exactly once, under its
+	// own component, and each non-tree anchor under that anchor's
+	// component; every filed record is the one the tree / nontree map
+	// holds, and no entry is empty. The broadcast handlers read only the
+	// entries of the components they name, so drift here would silently
+	// skip (or double-apply) a shift or relabel.
 	//
 	// Implicit singletons (a zero label slot) must stay implicit: no
-	// compVerts entry and no registry size under their id. The registry
-	// check below then catches any other vertex carrying their label.
+	// entry and no registry size under their id. The registry check
+	// below then catches any other vertex carrying their label.
 	sizes := map[int64]int{}
 	for _, sh := range d.shards {
 		for c, s := range sh.sizes {
@@ -720,26 +726,64 @@ func (d *D) Validate() error {
 	for _, sh := range d.shards {
 		listed := 0
 		seen := make(map[int32]bool)
-		for comp, vs := range sh.compVerts {
-			if len(vs) == 0 {
-				return fmt.Errorf("machine %d: empty compVerts entry for component %d", sh.id, comp)
+		filedTree := make(map[*treeRec]bool)
+		filedNT := make(map[ntEnd]bool)
+		for comp, e := range sh.comps {
+			if e.empty() {
+				return fmt.Errorf("machine %d: empty entry for component %d", sh.id, comp)
 			}
-			for _, v := range vs {
+			for _, v := range e.verts {
 				if seen[v] {
-					return fmt.Errorf("machine %d: vertex %d listed twice in compVerts", sh.id, v)
+					return fmt.Errorf("machine %d: vertex %d listed twice in the index", sh.id, v)
 				}
 				seen[v] = true
 				if d.owner(int(v)) != sh.id {
-					return fmt.Errorf("machine %d: compVerts lists vertex %d, owner is %d", sh.id, v, d.owner(int(v)))
+					return fmt.Errorf("machine %d: index lists vertex %d, owner is %d", sh.id, v, d.owner(int(v)))
 				}
 				if sh.labels[int(v)/len(d.shards)] == 0 {
-					return fmt.Errorf("machine %d: implicit singleton %d listed in compVerts under %d", sh.id, v, comp)
+					return fmt.Errorf("machine %d: implicit singleton %d listed in the index under %d", sh.id, v, comp)
 				}
 				if got := sh.label(v); got != comp {
-					return fmt.Errorf("machine %d: compVerts files vertex %d under %d, label says %d", sh.id, v, comp, got)
+					return fmt.Errorf("machine %d: index files vertex %d under %d, label says %d", sh.id, v, comp, got)
 				}
 			}
-			listed += len(vs)
+			listed += len(e.verts)
+			for rec := e.tree; rec != nil; rec = rec.next {
+				ge := graph.Edge{U: rec.pos.U, V: rec.pos.V}
+				if filedTree[rec] { // also stops a cyclic list
+					return fmt.Errorf("machine %d: tree record %v filed twice", sh.id, ge)
+				}
+				filedTree[rec] = true
+				if rec.comp != comp {
+					return fmt.Errorf("machine %d: tree record %v filed under %d, its component is %d", sh.id, ge, comp, rec.comp)
+				}
+				if sh.tree[ge] != rec {
+					return fmt.Errorf("machine %d: index files a tree record %v the tree map does not hold", sh.id, ge)
+				}
+			}
+		}
+		for comp, ends := range sh.anchors {
+			if len(ends) == 0 {
+				return fmt.Errorf("machine %d: empty anchor list for component %d", sh.id, comp)
+			}
+			for _, end := range ends {
+				if filedNT[end] {
+					return fmt.Errorf("machine %d: anchor of %d on non-tree edge %v filed twice", sh.id, end.vertex(), end.rec.e)
+				}
+				filedNT[end] = true
+				if _, c := end.anchor(); *c != comp {
+					return fmt.Errorf("machine %d: anchor of %d on non-tree edge %v filed under %d, its component is %d", sh.id, end.vertex(), end.rec.e, comp, *c)
+				}
+				if sh.nontree[end.rec.e] != end.rec {
+					return fmt.Errorf("machine %d: index files a non-tree record %v the nontree map does not hold", sh.id, end.rec.e)
+				}
+			}
+		}
+		if len(filedTree) != len(sh.tree) {
+			return fmt.Errorf("machine %d: %d tree records, %d filed in the index", sh.id, len(sh.tree), len(filedTree))
+		}
+		if len(filedNT) != 2*len(sh.nontree) {
+			return fmt.Errorf("machine %d: %d non-tree records, %d anchors filed in the index", sh.id, len(sh.nontree), len(filedNT))
 		}
 		implicit := 0
 		for i, slot := range sh.labels {
@@ -748,8 +792,8 @@ func (d *D) Validate() error {
 			}
 			implicit++
 			v := int64(sh.id + i*len(d.shards))
-			if _, ok := sh.compVerts[v]; ok {
-				return fmt.Errorf("machine %d: implicit singleton %d has a compVerts entry", sh.id, v)
+			if sh.comps[v] != nil || sh.anchors[v] != nil {
+				return fmt.Errorf("machine %d: implicit singleton %d has an index entry", sh.id, v)
 			}
 			if _, ok := sizes[v]; ok {
 				return fmt.Errorf("implicit singleton %d has registry size %d", v, sizes[v])
@@ -760,7 +804,7 @@ func (d *D) Validate() error {
 			return fmt.Errorf("machine %d: %d implicit singletons, counter says %d", sh.id, implicit, sh.implicit)
 		}
 		if listed != len(sh.labels)-implicit {
-			return fmt.Errorf("machine %d: compVerts indexes %d vertices, %d are materialised", sh.id, listed, len(sh.labels)-implicit)
+			return fmt.Errorf("machine %d: index lists %d vertices, %d are materialised", sh.id, listed, len(sh.labels)-implicit)
 		}
 	}
 
@@ -856,7 +900,7 @@ func (d *D) Validate() error {
 	// Weight partials (tree DP): each record lives at its vertex's owner
 	// only, mirrors the vertex's live component label, and anchors a
 	// genuine surviving tour appearance — 0 exactly for singletons. Like
-	// the compVerts rule, this is mirrored-by-construction state, so
+	// the index rule, this is mirrored-by-construction state, so
 	// every perm/fuzz suite calling Validate exercises the Shift repair
 	// rule for free.
 	for _, sh := range d.shards {

@@ -125,9 +125,9 @@ func TestImplicitSingletons(t *testing.T) {
 	d := New(Config{N: n, Mode: CC, ExpectedEdges: 80})
 	mu := len(d.shards)
 	for _, sh := range d.shards {
-		if len(sh.compVerts) != 0 || len(sh.sizes) != 0 || sh.implicit != len(sh.labels) {
-			t.Fatalf("machine %d: fresh shard holds %d compVerts and %d sizes entries, %d of %d implicit",
-				sh.id, len(sh.compVerts), len(sh.sizes), sh.implicit, len(sh.labels))
+		if len(sh.comps) != 0 || len(sh.sizes) != 0 || sh.implicit != len(sh.labels) {
+			t.Fatalf("machine %d: fresh shard holds %d comps and %d sizes entries, %d of %d implicit",
+				sh.id, len(sh.comps), len(sh.sizes), sh.implicit, len(sh.labels))
 		}
 		if got, want := sh.MemWords(), 4*len(sh.labels); got != want {
 			t.Fatalf("machine %d: fresh MemWords %d, want %d (2 vertex + 2 registry words per owned vertex)", sh.id, got, want)
@@ -159,7 +159,7 @@ func TestImplicitSingletons(t *testing.T) {
 		name          string
 		corrupt, mend func()
 	}{
-		{"compVerts entry", func() { owner.compVerts[v] = []int32{v} }, func() { delete(owner.compVerts, v) }},
+		{"comps entry", func() { owner.entryFor(v).verts = []int32{v} }, func() { delete(owner.comps, v) }},
 		{"registry size", func() { owner.sizes[v] = 1 }, func() { delete(owner.sizes, v) }},
 		{"label carried by another vertex", func() { d.shards[5%mu].setLabel(5, v) }, func() { d.shards[5%mu].setLabel(5, 3) }},
 		{"implicit counter", func() { owner.implicit-- }, func() { owner.implicit++ }},

@@ -99,7 +99,7 @@ func (d *D) Preprocess(g *graph.Graph) staticmpc.Result {
 	for _, sh := range d.shards {
 		clear(sh.labels)
 		sh.implicit = len(sh.labels)
-		sh.compVerts = make(map[int64][]int32)
+		sh.comps = nil
 		sh.sizes = make(map[int64]int)
 		sh.tree = make(map[graph.Edge]*treeRec)
 		sh.nontree = make(map[graph.Edge]*ntRec)
@@ -111,7 +111,8 @@ func (d *D) Preprocess(g *graph.Graph) staticmpc.Result {
 		}
 		sh := d.shards[d.owner(v)]
 		sh.setLabel(int32(v), c)
-		sh.compVerts[c] = append(sh.compVerts[c], int32(v))
+		e := sh.entryFor(c)
+		e.verts = append(e.verts, int32(v))
 	}
 	for c, k := range sizes {
 		if k > 1 {
@@ -138,10 +139,10 @@ func (d *D) Preprocess(g *graph.Graph) staticmpc.Result {
 				w:    int64(isTree[e]),
 			}
 			cu := rec
-			d.shards[d.owner(e.U)].tree[e] = &cu
+			d.shards[d.owner(e.U)].addTree(&cu)
 			if d.owner(e.V) != d.owner(e.U) {
 				cv := rec
-				d.shards[d.owner(e.V)].tree[e] = &cv
+				d.shards[d.owner(e.V)].addTree(&cv)
 			}
 		}
 	}
@@ -163,15 +164,16 @@ func (d *D) Preprocess(g *graph.Graph) staticmpc.Result {
 		root := int(comps[e.U])
 		seq := seqs[root]
 		rec := ntRec{
+			e:  graph.Edge{U: e.U, V: e.V},
 			aU: seq.First(e.U), aV: seq.First(e.V),
 			cU: comps[e.U], cV: comps[e.V],
 			w: int64(e.W),
 		}
 		cu := rec
-		d.shards[d.owner(e.U)].nontree[graph.Edge{U: e.U, V: e.V}] = &cu
+		d.shards[d.owner(e.U)].addNonTree(&cu)
 		if d.owner(e.V) != d.owner(e.U) {
 			cv := rec
-			d.shards[d.owner(e.V)].nontree[graph.Edge{U: e.U, V: e.V}] = &cv
+			d.shards[d.owner(e.V)].addNonTree(&cv)
 		}
 	}
 	return res

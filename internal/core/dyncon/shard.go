@@ -55,6 +55,7 @@ const (
 type wire struct {
 	Kind        kind
 	U, V        int32
+	ReplyTo     int32
 	W           int64
 	Seq         int64
 	Comp, Comp2 int64
@@ -70,22 +71,27 @@ type wire struct {
 	Span        treedp.Span
 	AnchorU     int
 	AnchorV     int
-	Promote     bool
-	Convert     bool // cut converts the edge to non-tree (MST swap)
-	NoReplace   bool
-	ReplyTo     int32
-	Found       bool
-	Flag        bool
+	// Miss is a gather broadcast's shared "nothing here" reply, built
+	// once by the orchestrator: a machine with nothing to report sends
+	// it back as is instead of allocating its own.
+	Miss      *wire
+	Promote   bool
+	Convert   bool // cut converts the edge to non-tree (MST swap)
+	NoReplace bool
+	Found     bool
+	Flag      bool
 }
 
 func (w wire) words() int { return 16 + 5*len(w.Shifts) }
 
 // treeRec is one tree edge's state: its four tour positions (etour.EdgePos,
-// self-describing), the component and the operative weight.
+// self-describing), the component and the operative weight. next links
+// the records filed under the same component on this shard.
 type treeRec struct {
 	pos  etour.EdgePos
 	comp int64
 	w    int64
+	next *treeRec
 }
 
 // ntRec is a non-tree edge: one anchor position and component per endpoint.
@@ -94,9 +100,57 @@ type treeRec struct {
 // record crosses a fresh cut, and then that endpoint is always a named
 // endpoint of the healing link).
 type ntRec struct {
+	e      graph.Edge
 	aU, aV int
 	cU, cV int64
 	w      int64
+}
+
+// ntEnd is one anchor of a non-tree record: its U end, or its V end when
+// v is set. The shard files each anchor under that anchor's component.
+type ntEnd struct {
+	rec *ntRec
+	v   bool
+}
+
+func (a ntEnd) anchor() (pos *int, comp *int64) {
+	if a.v {
+		return &a.rec.aV, &a.rec.cV
+	}
+	return &a.rec.aU, &a.rec.cU
+}
+
+func (a ntEnd) vertex() int32 {
+	if a.v {
+		return int32(a.rec.e.V)
+	}
+	return int32(a.rec.e.U)
+}
+
+// entry is one component's share of a shard: the owned vertices labeled
+// with it and the tree records filed under it. A broadcast naming a
+// component reads and re-files only that component's entry (and its
+// non-tree anchors, filed alongside in shard.anchors), so its cost on a
+// shard is O(records of the named components), not O(all records on the
+// shard). Weight records have no list of their own: a weight's component
+// is its vertex's label, so the weighted vertices of a component are the
+// verts with a weights entry. The tree records form a list linked
+// through treeRec.next, so filing a record allocates nothing. An entry
+// exists exactly while it holds a vertex or a record.
+type entry struct {
+	verts []int32
+	tree  *treeRec
+}
+
+// empty reports whether an entry holds nothing; a nil entry is empty.
+func (e *entry) empty() bool {
+	return e == nil || len(e.verts) == 0 && e.tree == nil
+}
+
+// file puts rec at the head of the entry's tree-record list.
+func (e *entry) file(rec *treeRec) {
+	rec.next = e.tree
+	e.tree = rec
 }
 
 // pending tracks one in-flight orchestration at the coordinator-for-this-
@@ -154,7 +208,7 @@ type shard struct {
 	// labels is the dense component-label table of the owned vertices
 	// (v = id + i·µ at index i = v/µ), storing label+1. The zero value
 	// marks an implicit singleton: a vertex no link has touched is its
-	// own size-1 component labeled by its id, with no compVerts or
+	// own size-1 component labeled by its id, with no comps or
 	// sizes entry, so an empty graph costs one zeroed word per vertex
 	// and nothing else. A vertex materialises (gets a stored label) the
 	// first time a link names its component, and never goes back.
@@ -163,15 +217,17 @@ type shard struct {
 	// Their registry machine is their owner (comp v lives at v mod µ),
 	// so MemWords charges their registry words here.
 	implicit int
-	// compVerts is the inverse of labels over materialised components —
-	// component label -> owned vertices carrying it — so the broadcast
-	// relabel loops in onDoLink and onDoCut walk only the touched
-	// component instead of scanning every owned vertex (O(n/µ) per
-	// machine per broadcast, i.e. O(n) cluster-wide work per update once
-	// n reaches 10^5). The index is a runtime cache derived from labels:
-	// it never changes messages, stats or MemWords, which charge for the
-	// logical state only.
-	compVerts    map[int64][]int32
+	// comps and anchors are the per-component index: one entry per
+	// component this shard holds a vertex or tree record of, and one
+	// list per component its non-tree anchors lie in (a separate map, so
+	// that the many shards and components without non-tree records pay
+	// nothing for them). The verts lists are the inverse of labels over
+	// materialised components. The index is a runtime cache derived from
+	// labels, tree and nontree: it never changes messages, stats or
+	// MemWords, which charge for the logical state only. Both maps are
+	// allocated on first use.
+	comps        map[int64]*entry
+	anchors      map[int64][]ntEnd
 	tree         map[graph.Edge]*treeRec
 	nontree      map[graph.Edge]*ntRec
 	sizes        map[int64]int   // registry: materialised components only
@@ -199,7 +255,6 @@ func newShard(id, mu int, cfg Config) *shard {
 		id: id, mu: mu, cfg: cfg,
 		labels:       make([]int64, owned),
 		implicit:     owned,
-		compVerts:    make(map[int64][]int32),
 		tree:         make(map[graph.Edge]*treeRec),
 		nontree:      make(map[graph.Edge]*ntRec),
 		sizes:        make(map[int64]int),
@@ -247,17 +302,188 @@ func (s *shard) implicitHere(comp int64) bool {
 	return comp < int64(s.cfg.N) && s.owner(int32(comp)) == s.id && s.labels[int(comp)/s.mu] == 0
 }
 
-// members returns the owned vertices labeled comp: the compVerts entry
-// of a materialised component, or the vertex itself for an implicit
+// members returns the owned vertices labeled comp: the verts of a
+// materialised component's entry, or the vertex itself for an implicit
 // singleton.
 func (s *shard) members(comp int64) []int32 {
-	if vs, ok := s.compVerts[comp]; ok {
-		return vs
+	if e, ok := s.comps[comp]; ok {
+		return e.verts
 	}
 	if s.implicitHere(comp) {
 		return []int32{int32(comp)}
 	}
 	return nil
+}
+
+// treeOf returns the head of the tree records filed under comp.
+func (s *shard) treeOf(comp int64) *treeRec {
+	if e, ok := s.comps[comp]; ok {
+		return e.tree
+	}
+	return nil
+}
+
+// entryFor returns comp's entry, creating it on first use.
+func (s *shard) entryFor(comp int64) *entry {
+	if e, ok := s.comps[comp]; ok {
+		return e
+	}
+	if s.comps == nil {
+		s.comps = make(map[int64]*entry)
+	}
+	e := &entry{}
+	s.comps[comp] = e
+	return e
+}
+
+// detach takes comp's entry and non-tree anchors out of the index (nil
+// when the shard holds none), for a broadcast to re-file their records.
+func (s *shard) detach(comp int64) (*entry, []ntEnd) {
+	e, nt := s.comps[comp], s.anchors[comp]
+	delete(s.comps, comp)
+	delete(s.anchors, comp)
+	return e, nt
+}
+
+// attach files a detached entry and anchor list back under comp,
+// dropping whichever is empty.
+func (s *shard) attach(comp int64, e *entry, nt []ntEnd) {
+	if !e.empty() {
+		if s.comps == nil {
+			s.comps = make(map[int64]*entry)
+		}
+		s.comps[comp] = e
+	}
+	if len(nt) > 0 {
+		if s.anchors == nil {
+			s.anchors = make(map[int64][]ntEnd)
+		}
+		s.anchors[comp] = nt
+	}
+}
+
+// addTree stores a tree record and files it under its component.
+func (s *shard) addTree(rec *treeRec) {
+	s.tree[graph.Edge{U: rec.pos.U, V: rec.pos.V}] = rec
+	s.entryFor(rec.comp).file(rec)
+}
+
+// addNonTree stores a non-tree record and files both its anchors.
+func (s *shard) addNonTree(rec *ntRec) {
+	s.nontree[rec.e] = rec
+	for _, end := range [2]ntEnd{{rec, false}, {rec, true}} {
+		_, c := end.anchor()
+		s.attach(*c, nil, append(s.anchors[*c], end))
+	}
+}
+
+// delNonTree drops a non-tree record and unfiles its anchors; it reports
+// whether the record existed.
+func (s *shard) delNonTree(ge graph.Edge) bool {
+	rec, ok := s.nontree[ge]
+	if !ok {
+		return false
+	}
+	delete(s.nontree, ge)
+	for _, end := range [2]ntEnd{{rec, false}, {rec, true}} {
+		_, c := end.anchor()
+		nt := s.anchors[*c]
+		for i, a := range nt {
+			if a == end {
+				nt[i] = nt[len(nt)-1]
+				nt = nt[:len(nt)-1]
+				break
+			}
+		}
+		if len(nt) == 0 {
+			delete(s.anchors, *c)
+		} else {
+			s.anchors[*c] = nt
+		}
+	}
+	return true
+}
+
+// refiler files the records of detached entries, once a broadcast has
+// shifted them, under the components they land in. A link or a cut
+// names the only two components its records can land in, and the
+// refiler holds their entries and anchor lists, so filing costs no index
+// lookup; attach puts them back. Handing it an anchor list whose held
+// copy is emptied to length 0 re-files that list in place: anchors are
+// written back no faster than they are read.
+type refiler struct {
+	s    *shard
+	comp [2]int64
+	dst  [2]*entry
+	nt   [2][]ntEnd
+}
+
+// slot returns the index of comp among the held components.
+func (r *refiler) slot(comp int64) int {
+	for i, c := range r.comp {
+		if c == comp {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("dyncon: a broadcast moved a record into component %d, outside the components %v it names", comp, r.comp))
+}
+
+func (r *refiler) to(comp int64) *entry {
+	i := r.slot(comp)
+	if r.dst[i] == nil {
+		r.dst[i] = &entry{}
+	}
+	return r.dst[i]
+}
+
+// vert labels owned vertex v comp and files it there.
+func (r *refiler) vert(comp int64, v int32) {
+	r.s.setLabel(v, comp)
+	e := r.to(comp)
+	e.verts = append(e.verts, v)
+}
+
+func (r *refiler) attach() {
+	for i, c := range r.comp {
+		r.s.attach(c, r.dst[i], r.nt[i])
+	}
+}
+
+// tree shifts and re-files a detached list of tree records, dropping
+// drop. All four positions of a record shift together.
+func (r *refiler) tree(shifts []etour.Shift, rec, drop *treeRec) {
+	for rec != nil {
+		next := rec.next
+		if rec != drop {
+			applyChainRec(shifts, rec)
+			r.to(rec.comp).file(rec)
+		}
+		rec = next
+	}
+}
+
+// anchors shifts and re-files non-tree anchors, skipping drop's. Under a
+// link, singleton anchors of the named endpoints receive their fresh
+// positions: x appears at q+1, y at q+2 (a singleton's component can
+// only be linked through its own vertex, so the names always cover
+// anchor value 0).
+func (r *refiler) anchors(w *wire, ends []ntEnd, drop *ntRec) {
+	for _, end := range ends {
+		if end.rec == drop {
+			continue
+		}
+		a, c := end.anchor()
+		*a, *c = applyChain(w.Shifts, *a, *c)
+		if *a == 0 && w.Kind == kDoLink {
+			if v := end.vertex(); v == w.U && *c == w.Comp {
+				*a = w.Q + 1
+			} else if v == w.V && *c == w.Comp2 {
+				*a, *c = w.Q+2, w.Comp
+			}
+		}
+		i := r.slot(*c)
+		r.nt[i] = append(r.nt[i], end)
+	}
 }
 
 // size returns the registry size of a component registered here.
@@ -271,8 +497,8 @@ func (s *shard) size(comp int64) int {
 // flOf computes f(v), l(v) from the locally stored tree records — the
 // on-demand computation §5 prescribes. Zero values mean singleton.
 func (s *shard) flOf(v int32) (f, l int) {
-	for e, rec := range s.tree {
-		if int32(e.U) != v && int32(e.V) != v {
+	for rec := s.treeOf(s.label(v)); rec != nil; rec = rec.next {
+		if int32(rec.pos.U) != v && int32(rec.pos.V) != v {
 			continue
 		}
 		p := posOf(&rec.pos, int(v))
@@ -354,13 +580,13 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 			s.onDoLink(ctx, w)
 		case kAddNonTree:
 			e := graph.NormEdge(int(w.U), int(w.V))
-			au, av, cu, cv := w.AnchorU, w.AnchorV, w.Comp, w.Comp
+			au, av := w.AnchorU, w.AnchorV
 			if e.U != int(w.U) {
 				au, av = av, au
 			}
-			s.nontree[e] = &ntRec{aU: au, aV: av, cU: cu, cV: cv, w: w.W}
+			s.addNonTree(&ntRec{e: e, aU: au, aV: av, cU: w.Comp, cV: w.Comp, w: w.W})
 		case kDelNonTree:
-			delete(s.nontree, graph.NormEdge(int(w.U), int(w.V)))
+			s.delNonTree(graph.NormEdge(int(w.U), int(w.V)))
 		case kDoCut:
 			s.onDoCut(ctx, w)
 		case kCandidate:
@@ -433,9 +659,7 @@ func (s *shard) startUpdate(ctx *mpc.Ctx, w *wire) {
 		return
 	}
 	// Delete.
-	if rec, ok := s.nontree[e]; ok {
-		_ = rec
-		delete(s.nontree, e)
+	if s.delNonTree(e) {
 		if s.owner(int32(e.V)) != s.id || s.owner(int32(e.U)) != s.id {
 			other := s.owner(int32(e.V))
 			if other == s.id {
@@ -509,6 +733,7 @@ func (s *shard) onInfo(ctx *mpc.Ctx, w *wire) {
 					Kind: kPathMaxReq, Seq: w.Seq, Comp: p.compU,
 					F: p.fU, L: p.lU, Fy: p.fV, LyCut: p.lV,
 					ReplyTo: int32(s.id),
+					Miss:    &wire{Kind: kPathMaxRep, Seq: w.Seq},
 				}, 9, true)
 				return
 			}
@@ -588,6 +813,7 @@ func (s *shard) onSize(ctx *mpc.Ctx, w *wire) {
 			Shifts:  shifts,
 			Convert: p.convert, NoReplace: p.convert,
 			ReplyTo: int32(s.id),
+			Miss:    &wire{Kind: kCandidate, Seq: w.Seq},
 		}, wire{Shifts: shifts}.words(), true)
 	}
 }
@@ -606,25 +832,27 @@ func (s *shard) onDoCut(ctx *mpc.Ctx, w *wire) {
 		delete(s.tree, e)
 	}
 
-	// Tree records: all four positions shift together.
-	for _, rec := range s.tree {
-		applyChainRec(w.Shifts, rec)
+	// Only compOld's records move: shift them and re-file each under
+	// compOld (the rest side, in place) or compNew (the cut-off subtree).
+	old, oldNT := s.detach(compOld)
+	r := refiler{s: s, comp: [2]int64{compOld, compNew}, dst: [2]*entry{old, nil}, nt: [2][]ntEnd{oldNT[:0], nil}}
+	if old != nil {
+		// Weight records repair under the identical rule: the cut-repair
+		// shift remaps anchors sitting on the four removed positions onto
+		// surviving appearances (or 0 + the fresh component for a cut-off
+		// singleton), and the sub/rest shifts renumber the rest.
+		for _, v := range old.verts {
+			if rec, ok := s.weights[v]; ok {
+				rec.ApplyShifts(w.Shifts)
+			}
+		}
+		tree := old.tree
+		old.tree = nil
+		r.tree(w.Shifts, tree, captured)
 	}
-	// Non-tree anchors: per anchor.
-	for _, rec := range s.nontree {
-		rec.aU, rec.cU = applyChain(w.Shifts, rec.aU, rec.cU)
-		rec.aV, rec.cV = applyChain(w.Shifts, rec.aV, rec.cV)
-	}
-	// Weight records repair under the identical rule: the cut-repair
-	// shift remaps anchors sitting on the four removed positions onto
-	// surviving appearances (or 0 + the fresh component for a cut-off
-	// singleton), and the sub/rest shifts renumber the rest.
-	for _, rec := range s.weights {
-		rec.ApplyShifts(w.Shifts)
-	}
+	r.anchors(w, oldNT, nil)
 	// Named endpoints: the child (whose interval was [fy,ly] pre-cut) is
-	// the endpoint appearing at fy on the captured record. Resolved before
-	// the relabel pass so the index filter can route it directly.
+	// the endpoint appearing at fy on the captured record.
 	childV := int32(-1)
 	child, parent := int(w.U), int(w.V)
 	if captured != nil {
@@ -636,42 +864,38 @@ func (s *shard) onDoCut(ctx *mpc.Ctx, w *wire) {
 			childV = int32(child)
 		}
 	}
-	// Vertex labels: an owned vertex adopts the component of any of its
-	// incident (already shifted) tree records; the named child endpoint is
-	// handled explicitly since it may have lost its only record. Only
-	// vertices labeled compOld can move, so the pass walks the compVerts
-	// inverse index instead of every owned vertex (compOld has a tree
-	// edge, so it is materialised); all tour appearances of
-	// a vertex land on one side of the cut, so its incident records agree
-	// on the adopted label exactly as the old full scan did.
-	if members := s.compVerts[compOld]; len(members) > 0 {
-		vcomp := make(map[int32]int64, 2*len(s.tree))
-		for ge, rec := range s.tree {
-			vcomp[int32(ge.U)] = rec.comp
-			vcomp[int32(ge.V)] = rec.comp
+	// Vertex labels: an owned vertex moves to compNew iff one of its
+	// (already shifted) tree records did — all tour appearances of a
+	// vertex land on one side of the cut — so compNew's tree records name
+	// every owned vertex that moves. The child is handled explicitly
+	// since it may have lost its only record. compOld has a tree edge, so
+	// it is materialised and old lists all its owned vertices.
+	moved := 0
+	adopt := func(v int32) {
+		if s.owner(v) == s.id && s.label(v) == compOld {
+			r.vert(compNew, v)
+			moved++
 		}
-		kept := members[:0]
-		for _, v := range members {
-			if v == childV {
-				continue // labeled compNew below
-			}
-			if c, ok := vcomp[v]; ok && c != compOld {
-				s.setLabel(v, c)
-				s.compVerts[c] = append(s.compVerts[c], v)
-			} else {
-				kept = append(kept, v)
-			}
-		}
-		if len(kept) == 0 {
-			delete(s.compVerts, compOld)
-		} else {
-			s.compVerts[compOld] = kept
+	}
+	if sub := r.dst[1]; sub != nil {
+		for rec := sub.tree; rec != nil; rec = rec.next {
+			adopt(int32(rec.pos.U))
+			adopt(int32(rec.pos.V))
 		}
 	}
 	if childV >= 0 {
-		s.setLabel(childV, compNew)
-		s.compVerts[compNew] = append(s.compVerts[compNew], childV)
+		adopt(childV)
 	}
+	if moved > 0 {
+		kept := old.verts[:0]
+		for _, v := range old.verts {
+			if s.label(v) == compOld {
+				kept = append(kept, v)
+			}
+		}
+		old.verts = kept
+	}
+	r.attach()
 	if captured != nil {
 		if w.Convert && (s.owner(int32(e.U)) == s.id || s.owner(int32(e.V)) == s.id) {
 			// Re-add the evicted MST edge as a non-tree record with
@@ -688,7 +912,7 @@ func (s *shard) onDoCut(ctx *mpc.Ctx, w *wire) {
 					aV, cV = 0, compOld
 				}
 			}
-			s.nontree[e] = &ntRec{aU: aU, aV: aV, cU: cU, cV: cV, w: w.W}
+			s.addNonTree(&ntRec{e: e, aU: aU, aV: aV, cU: cU, cV: cV, w: w.W})
 		}
 	}
 	// Registry updates.
@@ -699,22 +923,27 @@ func (s *shard) onDoCut(ctx *mpc.Ctx, w *wire) {
 		s.sizes[compNew] = w.SubSize
 	}
 
-	// Candidate scan.
-	reply := wire{Kind: kCandidate, Seq: w.Seq, Found: false}
+	// Candidate scan: every crossing record has one anchor in compNew.
+	var best *ntRec
 	if !w.NoReplace {
-		for ge, rec := range s.nontree {
+		for _, end := range r.nt[1] {
+			rec := end.rec
 			crossing := (rec.cU == compOld && rec.cV == compNew) ||
 				(rec.cU == compNew && rec.cV == compOld)
-			if !crossing {
-				continue
-			}
-			if !reply.Found || betterCandidate(s.cfg.Mode, rec.w, int32(ge.U), int32(ge.V), reply.W, reply.U, reply.V) {
-				reply.Found = true
-				reply.U, reply.V, reply.W = int32(ge.U), int32(ge.V), rec.w
+			if crossing && (best == nil || betterCandidate(s.cfg.Mode,
+				rec.w, int32(rec.e.U), int32(rec.e.V), best.w, int32(best.e.U), int32(best.e.V))) {
+				best = rec
 			}
 		}
 	}
-	ctx.Send(int(w.ReplyTo), &reply, 6)
+	if best == nil {
+		ctx.Send(int(w.ReplyTo), w.Miss, 6)
+		return
+	}
+	ctx.Send(int(w.ReplyTo), &wire{
+		Kind: kCandidate, Seq: w.Seq, Found: true,
+		U: int32(best.e.U), V: int32(best.e.V), W: best.w,
+	}, 6)
 }
 
 // betterCandidate orders replacement candidates: min weight first in MST
@@ -768,23 +997,26 @@ func (s *shard) onCandidate(ctx *mpc.Ctx, w *wire) {
 func (s *shard) onPathMaxReq(ctx *mpc.Ctx, w *wire) {
 	// Broadcast fields: F,L = f(x),l(x); Fy,LyCut = f(y),l(y); Comp.
 	fx, fy := w.F, w.Fy
-	reply := wire{Kind: kPathMaxRep, Seq: w.Seq, Found: false}
-	for ge, rec := range s.tree {
-		if rec.comp != w.Comp {
-			continue
-		}
+	var best *treeRec
+	for rec := s.treeOf(w.Comp); rec != nil; rec = rec.next {
 		cf, cl := childInterval(&rec.pos)
 		onPath := (cf <= fx && fx <= cl) != (cf <= fy && fy <= cl)
 		if !onPath {
 			continue
 		}
-		if !reply.Found || rec.w > reply.W ||
-			(rec.w == reply.W && (int32(ge.U) < reply.U || (int32(ge.U) == reply.U && int32(ge.V) < reply.V))) {
-			reply.Found = true
-			reply.U, reply.V, reply.W = int32(ge.U), int32(ge.V), rec.w
+		if best == nil || rec.w > best.w ||
+			(rec.w == best.w && (rec.pos.U < best.pos.U || (rec.pos.U == best.pos.U && rec.pos.V < best.pos.V))) {
+			best = rec
 		}
 	}
-	ctx.Send(int(w.ReplyTo), &reply, 6)
+	if best == nil {
+		ctx.Send(int(w.ReplyTo), w.Miss, 6)
+		return
+	}
+	ctx.Send(int(w.ReplyTo), &wire{
+		Kind: kPathMaxRep, Seq: w.Seq, Found: true,
+		U: int32(best.pos.U), V: int32(best.pos.V), W: best.w,
+	}, 6)
 }
 
 func (s *shard) onPathMaxRep(ctx *mpc.Ctx, w *wire) {
@@ -891,72 +1123,79 @@ func (s *shard) broadcastLink(ctx *mpc.Ctx, seq int64, x, y int32, w int64,
 // onDoLink applies a link broadcast to the local shard.
 func (s *shard) onDoLink(ctx *mpc.Ctx, w *wire) {
 	compX, compY := w.Comp, w.Comp2
-	for _, rec := range s.tree {
-		applyChainRec(w.Shifts, rec)
-	}
-	for _, rec := range s.nontree {
-		rec.aU, rec.cU = applyChain(w.Shifts, rec.aU, rec.cU)
-		rec.aV, rec.cV = applyChain(w.Shifts, rec.aV, rec.cV)
-	}
-	// Singleton anchors of the named endpoints receive their fresh
-	// positions: x appears at q+1, y at q+2 (a singleton's component can
-	// only be linked through its own vertex, so the names always cover
-	// anchor value 0).
-	for ge, rec := range s.nontree {
-		if rec.aU == 0 {
-			if int32(ge.U) == w.U && rec.cU == compX {
-				rec.aU = w.Q + 1
-			} else if int32(ge.U) == w.V && rec.cU == compY {
-				rec.aU, rec.cU = w.Q+2, compX
-			}
-		}
-		if rec.aV == 0 {
-			if int32(ge.V) == w.U && rec.cV == compX {
-				rec.aV = w.Q + 1
-			} else if int32(ge.V) == w.V && rec.cV == compY {
-				rec.aV, rec.cV = w.Q+2, compX
-			}
-		}
-	}
-	// Weight records: same shift chain, same named-endpoint healing for
+	hostImplicit, guestImplicit := s.implicitHere(compX), s.implicitHere(compY)
+	// Weight records of both components — their vertices' weights
+	// entries: same shift chain, same named-endpoint healing for
 	// singleton anchors (a singleton component is only ever linked
 	// through its own vertex, so the link names it).
-	for _, rec := range s.weights {
-		rec.ApplyShifts(w.Shifts)
-	}
-	for v, rec := range s.weights {
-		if rec.Anchor != 0 {
-			continue
+	for _, c := range [2]int64{compX, compY} {
+		for _, v := range s.members(c) {
+			rec, ok := s.weights[v]
+			if !ok {
+				continue
+			}
+			rec.ApplyShifts(w.Shifts)
+			if rec.Anchor != 0 {
+				continue
+			}
+			if v == w.U && rec.Comp == compX {
+				rec.Anchor = w.Q + 1
+			} else if v == w.V && rec.Comp == compY {
+				rec.Anchor, rec.Comp = w.Q+2, compX
+			}
 		}
-		if v == w.U && rec.Comp == compX {
-			rec.Anchor = w.Q + 1
-		} else if v == w.V && rec.Comp == compY {
-			rec.Anchor, rec.Comp = w.Q+2, compX
-		}
 	}
-	// An implicit singleton host materialises under its own label before
-	// the guests join it. Guest vertices adopt the host's label; members
-	// hands over exactly the owned vertices labeled compY, so the relabel
-	// is O(|guest ∩ shard|) instead of a scan over every owned vertex.
-	if s.implicitHere(compX) {
-		s.setLabel(int32(compX), compX)
-		s.compVerts[compX] = []int32{int32(compX)}
-	}
-	guests := s.members(compY)
-	for _, v := range guests {
-		s.setLabel(v, compX)
-	}
-	if len(guests) > 0 {
-		s.compVerts[compX] = append(s.compVerts[compX], guests...)
-	}
-	delete(s.compVerts, compY)
 	e := graph.NormEdge(int(w.U), int(w.V))
-	if s.owner(int32(e.U)) == s.id || s.owner(int32(e.V)) == s.id {
-		if w.Promote {
-			delete(s.nontree, e)
-		}
-		s.tree[e] = &treeRec{pos: w.Pos, comp: compX, w: w.W}
+	var promoted *ntRec
+	if w.Promote {
+		promoted = s.nontree[e]
+		delete(s.nontree, e)
 	}
+	// Only the two named components' records move, all into compX. The
+	// entries merge into the one with more vertices, so the append copies
+	// the shorter verts list, and the longer anchor list is re-filed in
+	// place.
+	host, hostNT := s.detach(compX)
+	guest, guestNT := s.detach(compY)
+	if guest != nil {
+		for _, v := range guest.verts {
+			s.setLabel(v, compX)
+		}
+	}
+	into, from := host, guest
+	if into == nil || from != nil && len(from.verts) > len(into.verts) {
+		into, from = from, into
+	}
+	ntInto, ntFrom := hostNT, guestNT
+	if len(ntFrom) > len(ntInto) {
+		ntInto, ntFrom = ntFrom, ntInto
+	}
+	r := refiler{s: s, comp: [2]int64{compX, compY}, dst: [2]*entry{into, nil}, nt: [2][]ntEnd{ntInto[:0], nil}}
+	if into != nil {
+		tree := into.tree
+		into.tree = nil
+		r.tree(w.Shifts, tree, nil)
+	}
+	if from != nil {
+		into.verts = append(into.verts, from.verts...)
+		r.tree(w.Shifts, from.tree, nil)
+	}
+	r.anchors(w, ntInto, promoted)
+	r.anchors(w, ntFrom, promoted)
+	// An implicit singleton materialises: the host under its own label,
+	// a guest under the host's.
+	if hostImplicit {
+		r.vert(compX, int32(compX))
+	}
+	if guestImplicit {
+		r.vert(compX, int32(compY))
+	}
+	if s.owner(int32(e.U)) == s.id || s.owner(int32(e.V)) == s.id {
+		rec := &treeRec{pos: w.Pos, comp: compX, w: w.W}
+		s.tree[e] = rec
+		r.to(compX).file(rec)
+	}
+	r.attach()
 	if s.registry(compX) == int32(s.id) {
 		s.sizes[compX] = w.Size
 	}

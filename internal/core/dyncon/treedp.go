@@ -89,7 +89,10 @@ func (s *shard) onDPPath(ctx *mpc.Ctx, w *wire) {
 func (s *shard) onDPTop(ctx *mpc.Ctx, w *wire) {
 	comp := s.label(w.U)
 	s.qpend[w.Seq] = &dpPending{kind: graph.OpTreeTop, u: w.U, comp: comp}
-	ctx.Broadcast(&wire{Kind: kDPTopReq, Seq: w.Seq, Comp: comp, ReplyTo: int32(s.id)}, 4, true)
+	ctx.Broadcast(&wire{
+		Kind: kDPTopReq, Seq: w.Seq, Comp: comp, ReplyTo: int32(s.id),
+		Miss: &wire{Kind: kDPTopRep, Seq: w.Seq},
+	}, 4, true)
 }
 
 // onDPInfo resumes a SubtreeSum or PathSum orchestration once the far
@@ -125,6 +128,7 @@ func (s *shard) onDPInfo(ctx *mpc.Ctx, w *wire) {
 		ctx.Broadcast(&wire{
 			Kind: kDPPathReq, Seq: w.Seq, Comp: p.comp,
 			F: p.fu, L: w.F, ReplyTo: int32(s.id),
+			Miss: &wire{Kind: kDPSumRep, Seq: w.Seq},
 		}, 6, true)
 	}
 }
@@ -133,8 +137,8 @@ func (s *shard) onDPInfo(ctx *mpc.Ctx, w *wire) {
 // appearance fr — u's owner holds every u-incident tree record, and on
 // each record u is the parent iff its positions are the outer pair.
 func (s *shard) childTowards(u int32, comp int64, fr int) (int, int) {
-	for ge, rec := range s.tree {
-		if rec.comp != comp || (int32(ge.U) != u && int32(ge.V) != u) {
+	for rec := s.treeOf(comp); rec != nil; rec = rec.next {
+		if int32(rec.pos.U) != u && int32(rec.pos.V) != u {
 			continue
 		}
 		cf, cl := childInterval(&rec.pos)
@@ -156,18 +160,28 @@ func (s *shard) dpBroadcastSum(ctx *mpc.Ctx, seq int64, comp int64, span treedp.
 	p.replies, p.sum = 0, 0
 	ctx.Broadcast(&wire{
 		Kind: kDPSumReq, Seq: seq, Comp: comp, Span: span, ReplyTo: int32(s.id),
+		Miss: &wire{Kind: kDPSumRep, Seq: seq},
 	}, 4+span.Words(), true)
 }
 
-// onDPSumReq evaluates the Span over the shard's weight records: one
-// anchor comparison per record, one partial sum back. O(local records)
-// work, O(1) words.
+// onDPSumReq evaluates the Span over the weight records of the
+// component's owned vertices: one anchor comparison per record, one
+// partial sum back. O(local vertices of the component) work, O(1) words.
 func (s *shard) onDPSumReq(ctx *mpc.Ctx, w *wire) {
 	var sum int64
-	for _, rec := range s.weights {
-		if rec.Comp == w.Comp && w.Span.Contains(rec.Anchor) {
+	for _, v := range s.members(w.Comp) {
+		if rec, ok := s.weights[v]; ok && w.Span.Contains(rec.Anchor) {
 			sum += rec.W
 		}
+	}
+	s.sendSum(ctx, w, sum)
+}
+
+// sendSum replies one partial sum; a zero sum is the shared miss reply.
+func (s *shard) sendSum(ctx *mpc.Ctx, w *wire, sum int64) {
+	if sum == 0 {
+		ctx.Send(int(w.ReplyTo), w.Miss, 3)
+		return
 	}
 	ctx.Send(int(w.ReplyTo), &wire{Kind: kDPSumRep, Seq: w.Seq, W: sum}, 3)
 }
@@ -187,7 +201,7 @@ func (s *shard) onDPSumRep(w *wire) {
 }
 
 // onDPPathReq evaluates the OnPath predicate for every owned weighted
-// vertex of the component. One pass over the local tree records
+// vertex of the component. One pass over the component's tree records
 // computes, per weighted vertex, its interval [f, l] (min/max of its
 // positions on incident records — the owner holds them all) and whether
 // a single child interval holds both broadcast appearances; OnPath then
@@ -199,8 +213,8 @@ func (s *shard) onDPPathReq(ctx *mpc.Ctx, w *wire) {
 		childBoth bool
 	}
 	var info map[int32]*pathInfo
-	for v, rec := range s.weights {
-		if rec.Comp != w.Comp {
+	for _, v := range s.members(w.Comp) {
+		if _, ok := s.weights[v]; !ok {
 			continue
 		}
 		if info == nil {
@@ -210,12 +224,9 @@ func (s *shard) onDPPathReq(ctx *mpc.Ctx, w *wire) {
 	}
 	var sum int64
 	if len(info) > 0 {
-		for ge, rec := range s.tree {
-			if rec.comp != w.Comp {
-				continue
-			}
+		for rec := s.treeOf(w.Comp); rec != nil; rec = rec.next {
 			cf, cl := childInterval(&rec.pos)
-			for _, x := range [2]int{ge.U, ge.V} {
+			for _, x := range [2]int{rec.pos.U, rec.pos.V} {
 				pi, ok := info[int32(x)]
 				if !ok {
 					continue
@@ -241,15 +252,20 @@ func (s *shard) onDPPathReq(ctx *mpc.Ctx, w *wire) {
 			}
 		}
 	}
-	ctx.Send(int(w.ReplyTo), &wire{Kind: kDPSumRep, Seq: w.Seq, W: sum}, 3)
+	s.sendSum(ctx, w, sum)
 }
 
 // onDPTopReq reports the shard's local argmax over the component's
 // owned vertices — every vertex counts, at weight 0 when unrecorded, so
 // the global answer is total over the component.
 func (s *shard) onDPTopReq(ctx *mpc.Ctx, w *wire) {
-	reply := wire{Kind: kDPTopRep, Seq: w.Seq}
-	for _, v := range s.members(w.Comp) {
+	members := s.members(w.Comp)
+	if len(members) == 0 {
+		ctx.Send(int(w.ReplyTo), w.Miss, 5)
+		return
+	}
+	reply := &wire{Kind: kDPTopRep, Seq: w.Seq}
+	for _, v := range members {
 		var wt int64
 		if rec, ok := s.weights[v]; ok {
 			wt = rec.W
@@ -259,7 +275,7 @@ func (s *shard) onDPTopReq(ctx *mpc.Ctx, w *wire) {
 			reply.U, reply.W = v, wt
 		}
 	}
-	ctx.Send(int(w.ReplyTo), &reply, 5)
+	ctx.Send(int(w.ReplyTo), reply, 5)
 }
 
 func (s *shard) onDPTopRep(w *wire) {
