@@ -415,20 +415,18 @@ func (m *M) Levels() []int {
 
 // QueueBacklog reports the number of vertices waiting in the scheduler's
 // queues (the transient non-maximality source).
-func (m *M) QueueBacklog() int {
-	total := 0
-	for _, q := range m.sched.queues {
-		total += len(q)
-	}
-	return total
-}
+func (m *M) QueueBacklog() int { return m.sched.queued }
 
 // Validate checks the §6 invariants that must hold at every quiescent
 // point: the matching is consistent; matched vertices have level ≥ 0 and
 // both endpoints of a matched edge share its level; free vertices are at
 // level -1; any free-free edge's endpoints are queued or active (the
-// almost-maximality bookkeeping).
+// almost-maximality bookkeeping); every machine's running word count
+// matches a recount.
 func (m *M) Validate(g *graph.Graph) error {
+	if err := m.checkWords(); err != nil {
+		return err
+	}
 	pending := map[int32]bool{}
 	for _, q := range m.sched.queues {
 		for _, v := range q {
@@ -463,6 +461,20 @@ func (m *M) Validate(g *graph.Graph) error {
 		sv := m.shards[m.owner(e.V)-1].get(int32(e.V))
 		if su.mate == -1 && sv.mate == -1 && !pending[int32(e.U)] && !pending[int32(e.V)] {
 			return fmt.Errorf("free-free edge (%d,%d) with neither endpoint pending", e.U, e.V)
+		}
+	}
+	return nil
+}
+
+// checkWords compares every machine's running MemWords count with a
+// recount of its state.
+func (m *M) checkWords() error {
+	if err := m.sched.checkQueued(); err != nil {
+		return err
+	}
+	for _, sh := range m.shards {
+		if err := sh.checkWords(); err != nil {
+			return err
 		}
 	}
 	return nil

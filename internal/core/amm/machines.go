@@ -1,6 +1,7 @@
 package amm
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 
@@ -74,6 +75,7 @@ type shard struct {
 	jobs         []job
 	rng          *rand.Rand
 	queryResults map[int64]int32 // mate answers, gathered driver-side
+	words        int             // Σ (4 + 2·len(adj)) over verts + Σ (2 + len(todo)) over jobs
 }
 
 func newShard(id, mu int, cfg Config, levels int) *shard {
@@ -87,15 +89,21 @@ func newShard(id, mu int, cfg Config, levels int) *shard {
 
 func (s *shard) owner(v int32) int { return 1 + int(v)%s.mu }
 
-func (s *shard) MemWords() int {
-	w := 2 * len(s.queryResults)
+func (s *shard) MemWords() int { return 2*len(s.queryResults) + s.words }
+
+// checkWords compares the running word count with a recount.
+func (s *shard) checkWords() error {
+	w := 0
 	for _, st := range s.verts {
 		w += 4 + 2*len(st.adj)
 	}
 	for _, j := range s.jobs {
 		w += 2 + len(j.todo)
 	}
-	return w
+	if w != s.words {
+		return fmt.Errorf("shard %d: running word count %d, recount %d", s.id, s.words, w)
+	}
+	return nil
 }
 
 func (s *shard) get(v int32) *vstate {
@@ -103,8 +111,25 @@ func (s *shard) get(v int32) *vstate {
 	if !ok {
 		st = &vstate{lvl: -1, mate: -1, adj: make(map[int32]int32)}
 		s.verts[v] = st
+		s.words += 4
 	}
 	return st
+}
+
+// setAdj records neighbor w of st at mirrored level lvl.
+func (s *shard) setAdj(st *vstate, w, lvl int32) {
+	if _, ok := st.adj[w]; !ok {
+		s.words += 2
+	}
+	st.adj[w] = lvl
+}
+
+// delAdj drops neighbor w of st.
+func (s *shard) delAdj(st *vstate, w int32) {
+	if _, ok := st.adj[w]; ok {
+		s.words -= 2
+		delete(st.adj, w)
+	}
 }
 
 // queueLevelJob schedules neighbor notifications for v's new level.
@@ -116,6 +141,7 @@ func (s *shard) queueLevelJob(v int32, lvl int32) {
 	}
 	sort.Slice(todo, func(i, j int) bool { return todo[i] < todo[j] })
 	s.jobs = append(s.jobs, job{v: v, lvl: lvl, todo: todo})
+	s.words += 2 + len(todo)
 }
 
 // setLevel moves v to lvl and queues the neighbor notifications.
@@ -153,7 +179,7 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 			s.handleEdgeOther(ctx, m, &report, &dirty)
 		case aEdgeBack:
 			st := s.get(m.U)
-			st.adj[m.V] = m.Lvl
+			s.setAdj(st, m.V, m.Lvl)
 			if m.Found { // both-free match committed at the other side
 				st.mate = m.V
 				s.setLevel(m.U, 0)
@@ -216,14 +242,14 @@ func (s *shard) handleUpdate(ctx *mpc.Ctx, m amsg, report *amsg, dirty *bool) {
 	}
 	st := s.get(u)
 	if !m.Del {
-		st.adj[v] = -2 // unknown until the mirror reply
+		s.setAdj(st, v, -2) // unknown until the mirror reply
 		fwd := amsg{Kind: aEdge, U: v, V: u, Lvl: st.lvl, Free: st.mate == -1}
 		ctx.Send(s.owner(v), fwd, fwd.words())
 		return
 	}
 	// Delete.
 	wasMate := st.mate == v
-	delete(st.adj, v)
+	s.delAdj(st, v)
 	fwd := amsg{Kind: aEdge, U: v, V: u, Del: true, Found: wasMate, Lvl: st.lvl}
 	if wasMate {
 		report.Freed = append(report.Freed, u, st.lvl)
@@ -246,7 +272,7 @@ func (s *shard) handleEdgeOther(ctx *mpc.Ctx, m amsg, report *amsg, dirty *bool)
 	v, u := m.U, m.V
 	st := s.get(v)
 	if m.Del {
-		delete(st.adj, u)
+		s.delAdj(st, u)
 		if m.Found { // the deleted edge was the matched edge
 			report.Freed = append(report.Freed, v, st.lvl)
 			st.mate = -1
@@ -262,7 +288,7 @@ func (s *shard) handleEdgeOther(ctx *mpc.Ctx, m amsg, report *amsg, dirty *bool)
 		}
 		return
 	}
-	st.adj[u] = m.Lvl
+	s.setAdj(st, u, m.Lvl)
 	back := amsg{Kind: aEdgeBack, U: u, V: v, Lvl: st.lvl}
 	if m.Free && st.mate == -1 {
 		// Both endpoints free: match at level 0 (§6's insertion rule).
@@ -355,8 +381,10 @@ func (s *shard) processJobs(ctx *mpc.Ctx) {
 		}
 		j.todo = j.todo[n:]
 		budget -= n
+		s.words -= n
 		if len(j.todo) == 0 {
 			s.jobs = s.jobs[1:]
+			s.words -= 2
 		}
 	}
 }
@@ -434,6 +462,7 @@ type scheduler struct {
 	levels int
 
 	queues          [][]int32 // per level (index lvl+1)
+	queued          int       // Σ len(queues)
 	active          map[int32]bool
 	lowSupp         map[int32]bool
 	pendingJobs     map[int32]bool
@@ -455,11 +484,19 @@ func newScheduler(cfg Config, mu, levels int) *scheduler {
 }
 
 func (s *scheduler) MemWords() int {
-	w := len(s.active) + len(s.lowSupp) + len(s.pendingJobs) + len(s.pendingUnmatch)
+	return len(s.active) + len(s.lowSupp) + len(s.pendingJobs) + len(s.pendingUnmatch) + s.queued + 8
+}
+
+// checkQueued compares the running queue length with a recount.
+func (s *scheduler) checkQueued() error {
+	n := 0
 	for _, q := range s.queues {
-		w += len(q)
+		n += len(q)
 	}
-	return w + 8
+	if n != s.queued {
+		return fmt.Errorf("scheduler: running queue length %d, recount %d", s.queued, n)
+	}
+	return nil
 }
 
 func (s *scheduler) owner(v int32) int { return 1 + int(v)%s.mu }
@@ -473,6 +510,7 @@ func (s *scheduler) enqueue(v, lvl int32) {
 		idx = len(s.queues) - 1
 	}
 	s.queues[idx] = append(s.queues[idx], v)
+	s.queued++
 }
 
 func (s *scheduler) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
@@ -566,6 +604,7 @@ func (s *scheduler) dispatch(ctx *mpc.Ctx) {
 		for len(q) > 0 {
 			v := q[0]
 			q = q[1:]
+			s.queued--
 			if s.active[v] {
 				continue
 			}

@@ -153,12 +153,17 @@ type coordinator struct {
 	heavyAt  int
 	aliveCap int
 
-	// update-history ring.
+	// update-history ring. H is append-only: trimming reslices past the
+	// dropped prefix, so no entry is ever rewritten in place and a
+	// suffix handed to a storage machine is a shared read-only view.
 	h     []hentry
 	hBase int64
 	hCap  int
 
+	// lastSync is each storage machine's cursor into H; syncSum is their
+	// running total, so the mean staleness reads in O(1).
 	lastSync  []int64
+	syncSum   int64
 	freeWords []int32
 	kindOf    []int8
 	refreshAt int
@@ -238,22 +243,42 @@ func (c *coordinator) hAppend(e hentry) {
 				panic(fmt.Sprintf("dmm: machine %d fell behind the update-history ring", m))
 			}
 		}
-		c.h = append(c.h[:0], c.h[drop:]...)
+		c.h = c.h[drop:]
 		c.hBase += int64(drop)
 	}
 }
 
 // suffixFor returns the H entries machine m has not seen and advances its
-// cursor.
+// cursor. The suffix is a read-only view of H itself, capped at its
+// length: H only ever appends past it, so it never changes and never
+// needs a copy.
 func (c *coordinator) suffixFor(m int32) []hentry {
-	end := c.hBase + int64(len(c.h))
 	ls := c.lastSync[m]
 	if ls < c.hBase {
 		panic(fmt.Sprintf("dmm: machine %d lost history (sync %d < base %d)", m, ls, c.hBase))
 	}
-	out := append([]hentry(nil), c.h[ls-c.hBase:]...)
-	c.lastSync[m] = end
+	out := c.h[ls-c.hBase : len(c.h) : len(c.h)]
+	c.syncNow(m)
 	return out
+}
+
+// syncNow moves storage machine m's cursor to the present.
+func (c *coordinator) syncNow(m int32) {
+	end := c.hBase + int64(len(c.h))
+	c.syncSum += end - c.lastSync[m]
+	c.lastSync[m] = end
+}
+
+// checkSync compares the running cursor sum with a recount.
+func (c *coordinator) checkSync() error {
+	var sum int64
+	for m := c.firstStore(); m < c.mu; m++ {
+		sum += c.lastSync[m]
+	}
+	if sum != c.syncSum {
+		return fmt.Errorf("coordinator: running cursor sum %d, recount %d", c.syncSum, sum)
+	}
+	return nil
 }
 
 // suffixLen reports how many H entries machine m has not yet seen, without
@@ -268,15 +293,11 @@ func (c *coordinator) suffixLen(m int32) int {
 // per-refresh suffix cost, charged per wave member because every finishing
 // update refreshes one round-robin machine.
 func (c *coordinator) meanStoreSuffix() int {
-	n := c.mu - c.firstStore()
+	n := int64(c.mu - c.firstStore())
 	if n <= 0 {
 		return 0
 	}
-	total := 0
-	for m := c.firstStore(); m < c.mu; m++ {
-		total += c.suffixLen(int32(m))
-	}
-	return total / n
+	return int((n*(c.hBase+int64(len(c.h))) - c.syncSum) / n)
 }
 
 // deletedInH reports whether edge (v,other) has a pending lazy deletion
@@ -313,7 +334,7 @@ func (c *coordinator) allocate(kind int8, need int32) int32 {
 			c.freeWords[m] = int32(c.mem)
 			// A fresh machine holds nothing, so its history cursor starts
 			// at the present.
-			c.lastSync[m] = c.hBase + int64(len(c.h))
+			c.syncNow(int32(m))
 			return int32(m)
 		}
 	}
@@ -324,7 +345,7 @@ func (c *coordinator) allocate(kind int8, need int32) int32 {
 func (c *coordinator) release(m int32) {
 	c.kindOf[m] = mkFree
 	c.freeWords[m] = int32(c.mem)
-	c.lastSync[m] = c.hBase + int64(len(c.h))
+	c.syncNow(m)
 }
 
 // await parks the current flow until n replies carrying its seq arrive.

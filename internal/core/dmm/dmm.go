@@ -135,9 +135,11 @@ func New(cfg Config) *M {
 		cl.SetMachine(1+i, m.stats[i])
 	}
 	m.storage = make([]*storeMachine, poolSize)
-	for i := 0; i < poolSize; i++ {
-		m.storage[i] = newStoreMachine(1 + numStats + i)
-		cl.SetMachine(1+numStats+i, m.storage[i])
+	pool := make([]storeMachine, poolSize) // one allocation for the whole pool
+	for i := range pool {
+		pool[i].id = 1 + numStats + i
+		m.storage[i] = &pool[i]
+		cl.SetMachine(pool[i].id, m.storage[i])
 	}
 	return m
 }
@@ -656,11 +658,26 @@ func (m *M) Fallbacks() int64 { return m.coord.fallbacks }
 // Validate checks the distributed storage invariants: every graph edge is
 // stored under both endpoints exactly once (modulo lazy deletions still in
 // H), light vertices live on a single machine, alive windows respect their
-// capacity, and directory free-space figures match machine contents.
+// capacity, and the running bookkeeping — every machine's word count, the
+// storage machines' owners indexes and the coordinator's cursor sum —
+// matches a recount. It only reads: no machine's state or MemWords moves.
 func (m *M) Validate(g *graph.Graph) error {
+	for _, sm := range m.stats {
+		if err := sm.checkWords(); err != nil {
+			return err
+		}
+	}
+	for _, sm := range m.storage {
+		if err := sm.checkIndex(); err != nil {
+			return err
+		}
+	}
+	if err := m.coord.checkSync(); err != nil {
+		return err
+	}
 	// Effective edge sets per vertex, after applying pending H deletions.
 	for v := 0; v < m.cfg.N; v++ {
-		st := m.stats[v/m.coord.statsPer].get(int32(v))
+		st := m.statPeek(int32(v))
 		if int(st.deg) != g.Degree(v) {
 			return fmt.Errorf("vertex %d: stats degree %d, graph %d", v, st.deg, g.Degree(v))
 		}
